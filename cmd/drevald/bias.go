@@ -3,30 +3,12 @@ package main
 import (
 	"context"
 	"net/http"
-	"sync/atomic"
 	"time"
 
 	"drnet/internal/biasobs"
-	"drnet/internal/changepoint"
 	"drnet/internal/core"
 	"drnet/internal/obs"
 	"drnet/internal/traceio"
-)
-
-// Bias-observatory knobs, flag-configured in main (-bias-windows,
-// -bias-drift-threshold, -degrade-on-drift). Package variables so the
-// lifecycle tests can tighten them, like the resilience knobs.
-var (
-	// biasWindows is how many index windows each request's trace is
-	// sliced into for the windowed health pass; 0 disables the
-	// observatory entirely (no traceHealth blocks, /debug/bias 404s).
-	biasWindows = biasobs.DefaultWindows
-	// biasDriftThreshold is the CUSUM decision threshold (σ units) for
-	// the drift alarms on the per-window reward/ESS series.
-	biasDriftThreshold = changepoint.DefaultThreshold
-	// degradeOnDrift, when set, escalates a fired drift alarm into a
-	// degraded:true /evaluate response with a trace_drift reason.
-	degradeOnDrift = false
 )
 
 // biasState is the most recent request's observatory output, published
@@ -39,8 +21,6 @@ type biasState struct {
 	when      time.Time
 }
 
-var lastBias atomic.Pointer[biasState]
-
 // traceSummary describes the last trace view drevald built, surfaced
 // on /healthz so operators can confirm what the server actually
 // evaluated (and how long the columnar build took).
@@ -51,8 +31,6 @@ type traceSummary struct {
 	buildSeconds float64
 	when         time.Time
 }
-
-var lastTraceSummary atomic.Pointer[traceSummary]
 
 // biasMetrics is the drevald_bias_* family: report/alarm counters plus
 // last-report gauges, so a fleet's estimator health is scrapeable
@@ -97,41 +75,49 @@ func gradeValue(grade string) float64 {
 }
 
 // observeBias runs the windowed observatory over the request's view as
-// its own traced phase, publishes the report (for /debug/bias,
-// /healthz and the drevald_bias_* gauges) and returns the compact
+// its own traced phase, publishes the report and returns the compact
 // summary embedded in the response body. Returns (nil, nil) when the
 // observatory is disabled.
-func observeBias(ctx context.Context, root *obs.Span, id string, view *core.TraceView[traceio.FlatContext, string], policy core.Policy[traceio.FlatContext, string]) (*biasobs.HealthSummary, error) {
-	if biasWindows <= 0 {
+func (s *Server) observeBias(ctx context.Context, root *obs.Span, id string, view *core.TraceView[traceio.FlatContext, string], policy core.Policy[traceio.FlatContext, string]) (*biasobs.HealthSummary, error) {
+	if s.cfg.BiasWindows <= 0 {
 		return nil, nil
 	}
 	report, err := timed(ctx, root, "bias_observatory", func() (*biasobs.Report, error) {
-		return biasobs.ComputeCtx(ctx, view, policy, biasobs.Config{
-			Windows:        biasWindows,
-			DriftThreshold: biasDriftThreshold,
-		})
+		return biasobs.ComputeCtx(ctx, view, policy, s.biasConfig())
 	})
 	if err != nil {
 		return nil, err
 	}
-	lastBias.Store(&biasState{report: report, requestID: id, when: time.Now()})
-	s := report.Summary()
+	sum := s.publishBias(report, id)
+	return &sum, nil
+}
+
+func (s *Server) biasConfig() biasobs.Config {
+	return biasobs.Config{Windows: s.cfg.BiasWindows, DriftThreshold: s.cfg.BiasDriftThreshold}
+}
+
+// publishBias makes report the latest one (/debug/bias, /healthz
+// biasGrade and the drevald_bias_* gauges), stamped with the request —
+// or stream epoch — it was computed for, and returns its summary.
+func (s *Server) publishBias(report *biasobs.Report, id string) biasobs.HealthSummary {
+	s.lastBias.Store(&biasState{report: report, requestID: id, when: time.Now()})
+	sum := report.Summary()
 	biasM.reports.Inc()
-	biasM.alarms.Add(uint64(s.Alarms))
-	biasM.grade.Set(gradeValue(s.Grade))
-	biasM.minESS.Set(s.MinESSRatio)
-	biasM.maxZero.Set(s.MaxZeroSupportFrac)
-	biasM.windows.Set(float64(s.Windows))
-	if s.Grade != biasobs.GradeHealthy {
-		srvLog.Warn("bias observatory", "id", id, "grade", s.Grade, "alarms", s.Alarms)
+	biasM.alarms.Add(uint64(sum.Alarms))
+	biasM.grade.Set(gradeValue(sum.Grade))
+	biasM.minESS.Set(sum.MinESSRatio)
+	biasM.maxZero.Set(sum.MaxZeroSupportFrac)
+	biasM.windows.Set(float64(sum.Windows))
+	if sum.Grade != biasobs.GradeHealthy {
+		s.log.Warn("bias observatory", "id", id, "grade", sum.Grade, "alarms", sum.Alarms)
 	}
-	return &s, nil
+	return sum
 }
 
 // recordTraceSummary publishes the view drevald just built for the
 // /healthz lastTrace block.
-func recordTraceSummary(view *core.TraceView[traceio.FlatContext, string], buildDur time.Duration) {
-	lastTraceSummary.Store(&traceSummary{
+func (s *Server) recordTraceSummary(view *core.TraceView[traceio.FlatContext, string], buildDur time.Duration) {
+	s.lastTrace.Store(&traceSummary{
 		records:      view.Len(),
 		contexts:     view.NumContexts(),
 		decisions:    view.NumDecisions(),
@@ -160,12 +146,12 @@ type biasResponse struct {
 // handleBias serves the most recent bias-observatory report. 404 with
 // a machine-readable error until the first /evaluate or /diagnose
 // request arrives (or when the observatory is disabled).
-func handleBias(w http.ResponseWriter, _ *http.Request) {
-	if biasWindows <= 0 {
+func (s *Server) handleBias(w http.ResponseWriter, _ *http.Request) {
+	if s.cfg.BiasWindows <= 0 {
 		httpError(w, http.StatusNotFound, "bias observatory disabled (-bias-windows 0)")
 		return
 	}
-	st := lastBias.Load()
+	st := s.lastBias.Load()
 	if st == nil {
 		httpError(w, http.StatusNotFound, biasobs.ErrNoView.Error())
 		return

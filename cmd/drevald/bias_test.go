@@ -5,7 +5,6 @@ import (
 	"flag"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -42,21 +41,9 @@ func driftTraceJSON(n int) []traceio.FlatRecord {
 	return recs
 }
 
-func resetBiasState(t *testing.T) {
-	t.Helper()
-	prevBias, prevTrace := lastBias.Load(), lastTraceSummary.Load()
-	lastBias.Store(nil)
-	lastTraceSummary.Store(nil)
-	t.Cleanup(func() {
-		lastBias.Store(prevBias)
-		lastTraceSummary.Store(prevTrace)
-	})
-}
-
 func TestDebugBiasServesLastReport(t *testing.T) {
-	resetBiasState(t)
-	srv := httptest.NewServer(newMux())
-	defer srv.Close()
+	t.Parallel()
+	s, srv := newTestServer(t, nil)
 
 	// Before any compute request the endpoint must 404 with a
 	// machine-readable error, not an empty report.
@@ -82,8 +69,8 @@ func TestDebugBiasServesLastReport(t *testing.T) {
 	if er.TraceHealth == nil {
 		t.Fatal("evaluate response missing traceHealth block")
 	}
-	if er.TraceHealth.Windows != biasWindows {
-		t.Fatalf("traceHealth windows = %d, want %d", er.TraceHealth.Windows, biasWindows)
+	if er.TraceHealth.Windows != s.cfg.BiasWindows {
+		t.Fatalf("traceHealth windows = %d, want %d", er.TraceHealth.Windows, s.cfg.BiasWindows)
 	}
 	if er.TraceHealth.Grade == "" {
 		t.Fatal("traceHealth grade empty")
@@ -111,8 +98,8 @@ func TestDebugBiasServesLastReport(t *testing.T) {
 	if br.RequestID == "" || br.N != 400 || br.Grade == "" {
 		t.Fatalf("report header off: %+v", br)
 	}
-	if len(br.Windows) != biasWindows {
-		t.Fatalf("got %d windows, want %d", len(br.Windows), biasWindows)
+	if len(br.Windows) != s.cfg.BiasWindows {
+		t.Fatalf("got %d windows, want %d", len(br.Windows), s.cfg.BiasWindows)
 	}
 	for _, w := range br.Windows {
 		if w.N == 0 {
@@ -122,9 +109,8 @@ func TestDebugBiasServesLastReport(t *testing.T) {
 }
 
 func TestDiagnoseCarriesTraceHealth(t *testing.T) {
-	resetBiasState(t)
-	srv := httptest.NewServer(newMux())
-	defer srv.Close()
+	t.Parallel()
+	s, srv := newTestServer(t, nil)
 	resp := post(t, srv, "/diagnose", evalRequest{Trace: testTraceJSON(t, false), Policy: "constant:a"})
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
@@ -140,19 +126,14 @@ func TestDiagnoseCarriesTraceHealth(t *testing.T) {
 	if dr.N != 400 {
 		t.Fatalf("diagnostics n = %d, want 400", dr.N)
 	}
-	if dr.TraceHealth == nil || dr.TraceHealth.Windows != biasWindows {
-		t.Fatalf("traceHealth = %+v, want %d windows", dr.TraceHealth, biasWindows)
+	if dr.TraceHealth == nil || dr.TraceHealth.Windows != s.cfg.BiasWindows {
+		t.Fatalf("traceHealth = %+v, want %d windows", dr.TraceHealth, s.cfg.BiasWindows)
 	}
 }
 
 func TestEvaluateDriftDegradesWhenEnabled(t *testing.T) {
-	resetBiasState(t)
-	prev := degradeOnDrift
-	degradeOnDrift = true
-	t.Cleanup(func() { degradeOnDrift = prev })
-
-	srv := httptest.NewServer(newMux())
-	defer srv.Close()
+	t.Parallel()
+	_, srv := newTestServer(t, func(c *Config) { c.DegradeOnDrift = true })
 	resp := post(t, srv, "/evaluate", evalRequest{Trace: driftTraceJSON(400), Policy: "constant:a"})
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
@@ -184,9 +165,8 @@ func TestEvaluateDriftDegradesWhenEnabled(t *testing.T) {
 }
 
 func TestEvaluateDriftNotDegradedByDefault(t *testing.T) {
-	resetBiasState(t)
-	srv := httptest.NewServer(newMux())
-	defer srv.Close()
+	t.Parallel()
+	_, srv := newTestServer(t, nil)
 	resp := post(t, srv, "/evaluate", evalRequest{Trace: driftTraceJSON(400), Policy: "constant:a"})
 	defer resp.Body.Close()
 	var er evalResponse
@@ -203,9 +183,8 @@ func TestEvaluateDriftNotDegradedByDefault(t *testing.T) {
 }
 
 func TestHealthzReportsLastTrace(t *testing.T) {
-	resetBiasState(t)
-	srv := httptest.NewServer(newMux())
-	defer srv.Close()
+	t.Parallel()
+	_, srv := newTestServer(t, nil)
 
 	get := func() healthJSON {
 		resp, err := http.Get(srv.URL + "/healthz")
@@ -236,13 +215,8 @@ func TestHealthzReportsLastTrace(t *testing.T) {
 }
 
 func TestBiasDisabledHidesSurface(t *testing.T) {
-	resetBiasState(t)
-	prev := biasWindows
-	biasWindows = 0
-	t.Cleanup(func() { biasWindows = prev })
-
-	srv := httptest.NewServer(newMux())
-	defer srv.Close()
+	t.Parallel()
+	_, srv := newTestServer(t, func(c *Config) { c.BiasWindows = 0 })
 	resp := post(t, srv, "/evaluate", evalRequest{Trace: testTraceJSON(t, false), Policy: "constant:a"})
 	defer resp.Body.Close()
 	var er evalResponse
@@ -263,9 +237,8 @@ func TestBiasDisabledHidesSurface(t *testing.T) {
 }
 
 func TestMetricsExposeBiasAndSinkFamilies(t *testing.T) {
-	resetBiasState(t)
-	srv := httptest.NewServer(newMux())
-	defer srv.Close()
+	t.Parallel()
+	_, srv := newTestServer(t, nil)
 	post(t, srv, "/evaluate", evalRequest{Trace: testTraceJSON(t, false), Policy: "constant:a"}).Body.Close()
 	resp, err := http.Get(srv.URL + "/metrics")
 	if err != nil {
@@ -297,6 +270,7 @@ func TestMetricsExposeBiasAndSinkFamilies(t *testing.T) {
 // syntax, EOF terminator) is caught by diff. Regenerate with
 // go test ./cmd/drevald -run Golden -args -update.
 func TestOpenMetricsGoldenBiasFamily(t *testing.T) {
+	t.Parallel()
 	r := obs.NewRegistry()
 	m := registerBiasMetrics(r)
 	m.reports.Add(3)

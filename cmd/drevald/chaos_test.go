@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"sync"
 	"syscall"
@@ -14,37 +13,12 @@ import (
 	"time"
 
 	"drnet/internal/obs"
-	"drnet/internal/parallel"
 	"drnet/internal/resilience"
 )
 
 // The chaos suite: fault injection, cancellation, load shedding and
 // degradation, all driven through the real HTTP surface. Every test is
 // named TestChaos* so CI can run the suite alone under -race.
-
-// withEvalLimiter swaps the global admission limiter and restores it.
-func withEvalLimiter(t *testing.T, l *resilience.Limiter) {
-	t.Helper()
-	old := evalLimiter
-	evalLimiter = l
-	t.Cleanup(func() { evalLimiter = old })
-}
-
-// withRequestTimeout swaps the global per-request deadline and restores it.
-func withRequestTimeout(t *testing.T, d time.Duration) {
-	t.Helper()
-	old := requestTimeout
-	requestTimeout = d
-	t.Cleanup(func() { requestTimeout = old })
-}
-
-// withThresholds swaps the global degradation thresholds and restores them.
-func withThresholds(t *testing.T, th resilience.Thresholds) {
-	t.Helper()
-	old := degradeThresholds
-	degradeThresholds = th
-	t.Cleanup(func() { degradeThresholds = old })
-}
 
 // TestChaosCancelMidBootstrap is the acceptance test for end-to-end
 // cancellation: a client abandons a large /evaluate mid-bootstrap; the
@@ -53,10 +27,7 @@ func withThresholds(t *testing.T, th resilience.Thresholds) {
 // (observed via the route's in-flight gauge returning to zero long
 // before the bootstrap could have completed).
 func TestChaosCancelMidBootstrap(t *testing.T) {
-	parallel.SetDefaultWorkers(2)
-	defer parallel.SetDefaultWorkers(0)
-	srv := httptest.NewServer(newMux())
-	defer srv.Close()
+	_, srv := newTestServer(t, func(c *Config) { c.Workers = 2 })
 
 	// A large trace keeps the columnar bootstrap busy for seconds, so
 	// the cancel lands mid-flight rather than after completion.
@@ -140,9 +111,8 @@ func TestChaosCancelMidBootstrap(t *testing.T) {
 // TestChaosRequestTimeout: with a tiny -request-timeout, a heavy
 // /evaluate answers 503 with the machine-readable timeout flag.
 func TestChaosRequestTimeout(t *testing.T) {
-	withRequestTimeout(t, time.Millisecond)
-	srv := httptest.NewServer(newMux())
-	defer srv.Close()
+	t.Parallel()
+	_, srv := newTestServer(t, func(c *Config) { c.RequestTimeout = time.Millisecond })
 
 	resp := post(t, srv, "/evaluate", evalRequest{
 		Trace:   testTraceJSON(t, false),
@@ -166,12 +136,10 @@ func TestChaosRequestTimeout(t *testing.T) {
 // concurrent request is shed with 429 + Retry-After and the shed
 // counter ticks; after the slot frees, requests flow again.
 func TestChaosLoadShedding(t *testing.T) {
-	withEvalLimiter(t, resilience.NewLimiter(1, 0))
-	srv := httptest.NewServer(newMux())
-	defer srv.Close()
+	s, srv := newTestServer(t, func(c *Config) { c.MaxConcurrent, c.MaxQueue = 1, 0 })
 
 	// Occupy the only compute slot directly.
-	release, _, err := evalLimiter.Acquire(context.Background())
+	release, _, err := s.evalLimit.Acquire(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,11 +169,10 @@ func TestChaosLoadShedding(t *testing.T) {
 // TestChaosQueuedRequestProceeds: a request that finds all compute
 // slots busy but queue room waits, then completes once the slot frees.
 func TestChaosQueuedRequestProceeds(t *testing.T) {
-	withEvalLimiter(t, resilience.NewLimiter(1, 1))
-	srv := httptest.NewServer(newMux())
-	defer srv.Close()
+	t.Parallel()
+	s, srv := newTestServer(t, func(c *Config) { c.MaxConcurrent, c.MaxQueue = 1, 1 })
 
-	release, _, err := evalLimiter.Acquire(context.Background())
+	release, _, err := s.evalLimit.Acquire(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,8 +202,7 @@ func TestChaosQueuedRequestProceeds(t *testing.T) {
 // TestChaosPanicRecovery: an injected handler panic becomes a 500 and a
 // drevald_panics_total tick; the server keeps serving afterwards.
 func TestChaosPanicRecovery(t *testing.T) {
-	srv := httptest.NewServer(newMux())
-	defer srv.Close()
+	_, srv := newTestServer(t, nil)
 
 	panicsBefore := panicsTotal.Value()
 	resilience.Activate(resilience.NewFaultPlan(11).
@@ -265,8 +231,7 @@ func TestChaosPanicRecovery(t *testing.T) {
 // HTTP boundary surfaces as a 500 with a JSON error, never a torn
 // response.
 func TestChaosInjectedHandlerError(t *testing.T) {
-	srv := httptest.NewServer(newMux())
-	defer srv.Close()
+	_, srv := newTestServer(t, nil)
 	resilience.Activate(resilience.NewFaultPlan(12).
 		Add("http/evaluate", resilience.FaultSpec{ErrProb: 1}))
 	resp := post(t, srv, "/evaluate", evalRequest{Trace: testTraceJSON(t, false), Policy: "constant:c"})
@@ -288,8 +253,7 @@ func TestChaosInjectedHandlerError(t *testing.T) {
 // task fails the /evaluate with a structured error (422), not a panic
 // or a hang.
 func TestChaosPoolFaultSurfacesAsError(t *testing.T) {
-	srv := httptest.NewServer(newMux())
-	defer srv.Close()
+	_, srv := newTestServer(t, nil)
 	resilience.Activate(resilience.NewFaultPlan(13).
 		Add(resilience.PointPoolTask, resilience.FaultSpec{ErrProb: 1}))
 	resp := post(t, srv, "/evaluate", evalRequest{
@@ -308,8 +272,7 @@ func TestChaosPoolFaultSurfacesAsError(t *testing.T) {
 // fault plan leaves zero residue — the same request then produces a
 // byte-identical body to one from a never-faulted server.
 func TestChaosFaultsOffByteDeterminism(t *testing.T) {
-	srv := httptest.NewServer(newMux())
-	defer srv.Close()
+	_, srv := newTestServer(t, nil)
 	reqBody := evalRequest{
 		Trace:   testTraceJSON(t, false),
 		Policy:  "constant:c",
@@ -349,8 +312,6 @@ func TestChaosFaultsOffByteDeterminism(t *testing.T) {
 func TestChaosDegradedResponse(t *testing.T) {
 	// A floor of 1.0 means any importance weighting at all (ESS < N)
 	// trips degradation on the standard test trace.
-	withThresholds(t, resilience.Thresholds{ESSRatioFloor: 1.0})
-	defer parallel.SetDefaultWorkers(0)
 
 	degradedBefore := degradedTotal.Value()
 	reqBody := evalRequest{
@@ -360,8 +321,7 @@ func TestChaosDegradedResponse(t *testing.T) {
 	}
 	var want []byte
 	for _, w := range []int{1, 2, 8} {
-		parallel.SetDefaultWorkers(w)
-		srv := httptest.NewServer(newMux())
+		_, srv := newTestServer(t, func(c *Config) { c.ESSRatioFloor, c.Workers = 1.0, w })
 		resp := post(t, srv, "/evaluate", reqBody)
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("workers=%d: degraded request must stay 200, got %d", w, resp.StatusCode)
@@ -409,9 +369,8 @@ func TestChaosDegradedResponse(t *testing.T) {
 // (used by TestChaosDegradedResponse's threshold override) leaves ~89%
 // of records with zero support.
 func TestChaosHealthyNotDegraded(t *testing.T) {
-	withThresholds(t, resilience.DefaultThresholds())
-	srv := httptest.NewServer(newMux())
-	defer srv.Close()
+	t.Parallel()
+	_, srv := newTestServer(t, nil)
 	resp := post(t, srv, "/evaluate", evalRequest{Trace: testTraceJSON(t, false), Policy: "constant:a"})
 	defer resp.Body.Close()
 	var out evalResponse
@@ -428,7 +387,7 @@ func TestChaosHealthyNotDegraded(t *testing.T) {
 // slowing every pool task; all in-flight requests must still drain to
 // 200, and the closed listener must refuse new connections quickly.
 func TestChaosShutdownDrainsUnderFaults(t *testing.T) {
-	url, stop, done := startTestServer(t)
+	url, stop, done := startTestServer(t, nil)
 
 	resilience.Activate(resilience.NewFaultPlan(19).
 		Add(resilience.PointPoolTask, resilience.FaultSpec{LatencyProb: 0.25, Latency: time.Millisecond}))
@@ -472,7 +431,7 @@ func TestChaosShutdownDrainsUnderFaults(t *testing.T) {
 		if err != nil {
 			t.Fatalf("run returned %v", err)
 		}
-	case <-time.After(drainTimeout + 5*time.Second):
+	case <-time.After(DefaultConfig().DrainTimeout + 5*time.Second):
 		t.Fatal("server did not shut down under faulted load")
 	}
 	wg.Wait()
@@ -500,8 +459,8 @@ func TestChaosShutdownDrainsUnderFaults(t *testing.T) {
 // the HTTP layer: non-finite numerics and oversized bootstrap counts
 // are 400s with actionable messages, not computation.
 func TestChaosRejectsHostileInputs(t *testing.T) {
-	srv := httptest.NewServer(newMux())
-	defer srv.Close()
+	t.Parallel()
+	_, srv := newTestServer(t, nil)
 	good := testTraceJSON(t, false)
 	cases := []struct {
 		name string
@@ -540,8 +499,8 @@ func TestChaosRejectsHostileInputs(t *testing.T) {
 // TestChaosHealthzSurfacesResilienceConfig: /healthz reports the drain
 // and request timeouts so orchestrators can size grace periods.
 func TestChaosHealthzSurfacesResilienceConfig(t *testing.T) {
-	srv := httptest.NewServer(newMux())
-	defer srv.Close()
+	t.Parallel()
+	s, srv := newTestServer(t, nil)
 	resp, err := http.Get(srv.URL + "/healthz")
 	if err != nil {
 		t.Fatal(err)
@@ -551,10 +510,10 @@ func TestChaosHealthzSurfacesResilienceConfig(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 		t.Fatal(err)
 	}
-	if out.DrainTimeoutSeconds != drainTimeout.Seconds() || out.DrainTimeoutSeconds <= 0 {
-		t.Fatalf("drainTimeoutSeconds = %g, want %g", out.DrainTimeoutSeconds, drainTimeout.Seconds())
+	if out.DrainTimeoutSeconds != s.cfg.DrainTimeout.Seconds() || out.DrainTimeoutSeconds <= 0 {
+		t.Fatalf("drainTimeoutSeconds = %g, want %g", out.DrainTimeoutSeconds, s.cfg.DrainTimeout.Seconds())
 	}
-	if out.RequestTimeoutSeconds != requestTimeout.Seconds() {
-		t.Fatalf("requestTimeoutSeconds = %g, want %g", out.RequestTimeoutSeconds, requestTimeout.Seconds())
+	if out.RequestTimeoutSeconds != s.cfg.RequestTimeout.Seconds() {
+		t.Fatalf("requestTimeoutSeconds = %g, want %g", out.RequestTimeoutSeconds, s.cfg.RequestTimeout.Seconds())
 	}
 }

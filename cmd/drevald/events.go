@@ -1,105 +1,40 @@
 package main
 
 import (
-	"net/http"
 	"sort"
-	"sync"
 
 	"drnet/internal/obs"
 	"drnet/internal/resilience"
 	"drnet/internal/slo"
-	"drnet/internal/wideevent"
 )
 
 // Wide-event journal + SLO engine wiring: every instrumented compute
 // request (/evaluate, /diagnose, /ingest) emits exactly one flat
-// canonical event into the journal; the SLO engine observes the full
-// (pre-sampling) stream and turns it into multi-window burn rates and
-// an ok → warning → page state machine. Queryable on the service and
-// debug muxes as GET /debug/events (filter language) and GET
-// /debug/slo; counters and gauges on /metrics; rollups on /healthz
-// and /debug/vars.
-
-// Event-journal knobs, flag-configured in main. Package variables so
-// the lifecycle tests can swap in journals/engines with fixed clocks
-// and seeds, like the resilience knobs.
-var (
-	// eventJournal retains the tail-biased sample of recent request
-	// events for /debug/events (-events-buffer, -events-sample,
-	// -events-slow-ms, -events-seed; -events-out adds JSONL export).
-	eventJournal = newEventJournal(wideevent.Options{
-		Capacity:   1024,
-		SampleRate: 1,
-		SlowMs:     250,
-		Seed:       1,
-	})
-	// sloEngine evaluates the burn-rate objectives (-slo-config; the
-	// DefaultConfig axes otherwise). Replaced wholesale at startup or
-	// by tests — the journal observer resolves it per event.
-	sloEngine = mustSLOEngine(slo.DefaultConfig())
-	// degradeOnSLOPage, when set, escalates a page-severity budget
-	// burn into degraded /evaluate responses with an slo_burn reason
-	// until the burn clears (-degrade-on-slo-page).
-	degradeOnSLOPage = false
-)
-
-// newEventJournal builds a journal whose observer feeds the CURRENT
-// SLO engine — late bound, so tests that swap sloEngine and main's
-// -slo-config replacement both take effect without rewiring.
-func newEventJournal(opts wideevent.Options) *wideevent.Journal {
-	j := wideevent.NewJournal(opts)
-	j.Observe(func(ev *wideevent.Event) { sloEngine.Observe(ev) })
-	return j
-}
-
-// mustSLOEngine builds an engine for a config known to be valid (the
-// compiled-in default); main rebuilds from -slo-config with a proper
-// error path.
-func mustSLOEngine(cfg slo.Config) *slo.Engine {
-	e, err := newSLOEngine(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return e
-}
-
-// newSLOEngine builds an engine on the wall clock with the transition
-// hook attached.
-func newSLOEngine(cfg slo.Config) (*slo.Engine, error) {
-	e, err := slo.New(cfg, nil)
-	if err != nil {
-		return nil, err
-	}
-	e.SetHook(sloTransition)
-	return e, nil
-}
-
-// sloPages tracks the objectives currently burning at page severity,
-// so the degrade-on-slo-page escalation knows when the LAST page
-// clears (several objectives can page at once).
-var (
-	sloPageMu sync.Mutex
-	sloPages  = map[string]resilience.Reason{} // guarded by sloPageMu
-)
+// canonical event into the server's journal; its SLO engine observes
+// the full (pre-sampling) stream and turns it into multi-window burn
+// rates and an ok → warning → page state machine. Queryable on the
+// service and debug muxes as GET /debug/events (filter language) and
+// GET /debug/slo; counters and gauges on /metrics (synced at scrape
+// time by syncMetrics); rollups on /healthz and /debug/vars.
 
 // sloTransition is the engine hook: log every state change, count it,
 // and maintain the active-page set that handlers fold into degraded
 // responses when -degrade-on-slo-page is set.
-func sloTransition(tr slo.Transition) {
+func (s *Server) sloTransition(tr slo.Transition) {
 	sloTransitionsTotal.Inc()
-	srvLog.Warn("slo transition",
+	s.log.Warn("slo transition",
 		"objective", tr.Objective,
 		"from", tr.From.String(),
 		"to", tr.To.String(),
 		"window", tr.Window,
 		"burn", tr.Burn,
 	)
-	sloPageMu.Lock()
-	defer sloPageMu.Unlock()
+	s.pageMu.Lock()
+	defer s.pageMu.Unlock()
 	if tr.To == slo.StatePage {
-		sloPages[tr.Objective] = resilience.SLOBurnReason(tr.Objective, tr.Burn, tr.Threshold)
+		s.pages[tr.Objective] = resilience.SLOBurnReason(tr.Objective, tr.Burn, tr.Threshold)
 	} else {
-		delete(sloPages, tr.Objective)
+		delete(s.pages, tr.Objective)
 	}
 }
 
@@ -108,23 +43,23 @@ func sloTransition(tr slo.Transition) {
 // is off or nothing is paging. Burn state advances on Eval — scrapes,
 // /debug/slo and /healthz — not per request, so the per-request cost
 // here is one mutex hold over a tiny map.
-func sloDegradeReasons() []resilience.Reason {
-	if !degradeOnSLOPage {
+func (s *Server) sloDegradeReasons() []resilience.Reason {
+	if !s.cfg.DegradeOnSLOPage {
 		return nil
 	}
-	sloPageMu.Lock()
-	defer sloPageMu.Unlock()
-	if len(sloPages) == 0 {
+	s.pageMu.Lock()
+	defer s.pageMu.Unlock()
+	if len(s.pages) == 0 {
 		return nil
 	}
-	names := make([]string, 0, len(sloPages))
-	for name := range sloPages {
+	names := make([]string, 0, len(s.pages))
+	for name := range s.pages {
 		names = append(names, name)
 	}
 	sort.Strings(names)
 	out := make([]resilience.Reason, 0, len(names))
 	for _, name := range names {
-		out = append(out, sloPages[name])
+		out = append(out, s.pages[name])
 	}
 	return out
 }
@@ -139,7 +74,15 @@ func reasonCodes(reasons []resilience.Reason) []string {
 	return out
 }
 
-var sloTransitionsTotal = obs.Default.Counter("drevald_slo_transitions_total")
+// Journal and SLO series. The counters are created eagerly (a zero
+// reading is the healthy signal operators alert on disappearing) and
+// advanced by syncMetrics from the server's journal.
+var (
+	sloTransitionsTotal    = obs.Default.Counter("drevald_slo_transitions_total")
+	eventsEmittedTotal     = obs.Default.Counter("drevald_events_emitted_total")
+	eventsSampledOutTotal  = obs.Default.Counter("drevald_events_sampled_out_total")
+	eventsSinkDroppedTotal = obs.Default.Counter("drevald_events_sink_dropped_total")
+)
 
 func init() {
 	obs.Default.Help("drevald_slo_transitions_total", "SLO alert state changes (ok, warning, page — any direction).")
@@ -148,43 +91,4 @@ func init() {
 	obs.Default.Help("drevald_events_emitted_total", "Wide events emitted by completed requests (before tail sampling).")
 	obs.Default.Help("drevald_events_sampled_out_total", "Healthy wide events dropped by tail-biased sampling (-events-sample).")
 	obs.Default.Help("drevald_events_sink_dropped_total", "Wide-event JSONL lines dropped because the -events-out queue was full.")
-	// Journal counters ride the shared loss-counter shape: eagerly
-	// created, synced at scrape time from the CURRENT journal (the
-	// flag-driven rebuild in main and test swaps are both covered).
-	obs.RegisterLossCounter(obs.Default, "drevald_events_emitted_total",
-		"Wide events emitted by completed requests (before tail sampling).",
-		func() (uint64, bool) { return eventJournal.Stats().Emitted, eventJournal != nil })
-	obs.RegisterLossCounter(obs.Default, "drevald_events_sampled_out_total",
-		"Healthy wide events dropped by tail-biased sampling (-events-sample).",
-		func() (uint64, bool) { return eventJournal.Stats().SampledOut, eventJournal != nil })
-	obs.RegisterLossCounter(obs.Default, "drevald_events_sink_dropped_total",
-		"Wide-event JSONL lines dropped because the -events-out queue was full.",
-		func() (uint64, bool) { return eventJournal.SinkDropped(), eventJournal != nil })
-	// SLO gauges refresh at scrape time: one Eval per scrape also
-	// advances the alert state machine, so burn state converges even
-	// when nobody polls /debug/slo.
-	obs.Default.RegisterSampler(func() {
-		eng := sloEngine
-		if eng == nil {
-			return
-		}
-		rep := eng.Eval()
-		for _, o := range rep.Objectives {
-			st, _ := slo.ParseStateName(o.State)
-			obs.Default.Gauge("drevald_slo_state", obs.L("objective", o.Name)).Set(float64(st))
-			obs.Default.Gauge("drevald_slo_budget_remaining", obs.L("objective", o.Name)).Set(o.BudgetRemaining)
-		}
-	})
-}
-
-// handleEvents serves GET /debug/events: the filter language over the
-// journal's retained ring. Late bound so test swaps take effect.
-func handleEvents(w http.ResponseWriter, r *http.Request) {
-	eventJournal.Handler().ServeHTTP(w, r)
-}
-
-// handleSLO serves GET /debug/slo: burn rates, alert states and
-// budget remaining per objective, plus the rollup /healthz surfaces.
-func handleSLO(w http.ResponseWriter, r *http.Request) {
-	sloEngine.Handler().ServeHTTP(w, r)
 }

@@ -6,12 +6,13 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
-	"drnet/internal/parallel"
 	"drnet/internal/resilience"
 	"drnet/internal/slo"
 	"drnet/internal/wideevent"
@@ -40,36 +41,10 @@ func (c *eventClock) Advance(d time.Duration) {
 	c.t = c.t.Add(d)
 }
 
-// withEventJournal swaps in a fresh journal (observer wired to the
-// current SLO engine, like production) and restores on cleanup.
-func withEventJournal(t *testing.T, opts wideevent.Options) *wideevent.Journal {
-	t.Helper()
-	old := eventJournal
-	j := newEventJournal(opts)
-	eventJournal = j
-	t.Cleanup(func() { eventJournal = old })
-	return j
-}
-
-// withSLOEngine swaps in an engine on the given clock with the
-// production transition hook, restoring the engine and clearing the
-// active-page set on cleanup.
-func withSLOEngine(t *testing.T, cfg slo.Config, now func() time.Time) *slo.Engine {
-	t.Helper()
-	eng, err := slo.New(cfg, now)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng.SetHook(sloTransition)
-	old := sloEngine
-	sloEngine = eng
-	t.Cleanup(func() {
-		sloEngine = old
-		sloPageMu.Lock()
-		sloPages = map[string]resilience.Reason{}
-		sloPageMu.Unlock()
-	})
-	return eng
+// journalConfig returns an edit that sizes the wide-event journal:
+// capacity, healthy-event sample rate and sampler seed.
+func journalConfig(capacity int, sample float64, seed uint64) func(*Config) {
+	return func(c *Config) { c.EventsBuffer, c.EventsSample, c.EventsSeed = capacity, sample, seed }
 }
 
 // postRawWithID POSTs raw (possibly malformed) bytes with a pinned
@@ -126,11 +101,14 @@ func findEvent(evs []*wideevent.Event, id string) *wideevent.Event {
 // every /evaluate, /diagnose and /ingest request — success or error —
 // emits exactly one wide event, and untraced routes emit none.
 func TestOneEventPerRequest(t *testing.T) {
+	t.Parallel()
 	clock := newEventClock()
-	j := withEventJournal(t, wideevent.Options{Capacity: 64, SampleRate: 1, Seed: 1, Now: clock.Now})
-	withStreamEngine(t, streamConfig{SegmentBytes: 4096})
-	srv := httptest.NewServer(newMux())
-	defer srv.Close()
+	dir := t.TempDir()
+	s, srv := newTestServerAt(t, clock.Now, func(c *Config) {
+		journalConfig(64, 1, 1)(c)
+		c.WALDir, c.SegmentBytes = dir, 4096
+	})
+	j := s.journal
 
 	evalBody := marshal(t, evalRequest{Trace: testTraceJSON(t, false), Policy: "constant:c", Options: evalOptions{Bootstrap: 30, Seed: 3}})
 
@@ -217,11 +195,14 @@ func TestOneEventPerRequest(t *testing.T) {
 // wide event carries stream epoch/staleness and the canonical
 // fallback estimator name when degraded.
 func TestStreamedEventAnnotations(t *testing.T) {
+	t.Parallel()
 	clock := newEventClock()
-	j := withEventJournal(t, wideevent.Options{Capacity: 64, SampleRate: 1, Seed: 1, Now: clock.Now})
-	withStreamEngine(t, streamConfig{SegmentBytes: 4096, MaxModelAge: 1})
-	srv := httptest.NewServer(newMux())
-	defer srv.Close()
+	dir := t.TempDir()
+	s, srv := newTestServerAt(t, clock.Now, func(c *Config) {
+		journalConfig(64, 1, 1)(c)
+		c.WALDir, c.SegmentBytes, c.MaxModelAge = dir, 4096, 1
+	})
+	j := s.journal
 
 	records := testTraceJSON(t, false)
 	resp := postRawWithID(t, srv, "/ingest", "ing-1", marshal(t, ingestRequest{Records: records}))
@@ -263,14 +244,16 @@ func TestStreamedEventAnnotations(t *testing.T) {
 // rate 0 healthy requests are sampled out but error and degraded
 // requests are always retained and queryable through the filters.
 func TestTailRetentionE2E(t *testing.T) {
+	t.Parallel()
 	clock := newEventClock()
-	j := withEventJournal(t, wideevent.Options{Capacity: 64, SampleRate: 0, Seed: 1, Now: clock.Now})
 	// All-zero thresholds disable intrinsic degradation so the three
 	// warm-up requests really are healthy (the test trace's natural
 	// zero-support would otherwise trip the default cap).
-	withThresholds(t, resilience.Thresholds{})
-	srv := httptest.NewServer(newMux())
-	defer srv.Close()
+	s, srv := newTestServerAt(t, clock.Now, func(c *Config) {
+		journalConfig(64, 0, 1)(c)
+		noDegrade(c)
+	})
+	j := s.journal
 
 	evalBody := marshal(t, evalRequest{Trace: testTraceJSON(t, false), Policy: "constant:c"})
 	for i := 0; i < 3; i++ {
@@ -280,7 +263,7 @@ func TestTailRetentionE2E(t *testing.T) {
 	resp := postRawWithID(t, srv, "/evaluate", "broken", []byte("{"))
 	resp.Body.Close()
 	// An impossible ESS floor makes the next request degraded.
-	degradeThresholds = resilience.Thresholds{ESSRatioFloor: 2}
+	s.thresholds = resilience.Thresholds{ESSRatioFloor: 2}
 	resp = postRawWithID(t, srv, "/evaluate", "degraded", evalBody)
 	resp.Body.Close()
 
@@ -320,16 +303,13 @@ func TestEventAndSLODeterministicAcrossWorkers(t *testing.T) {
 	evalBody := marshal(t, evalRequest{Trace: testTraceJSON(t, false), Policy: "constant:c", Options: evalOptions{Bootstrap: 40, Seed: 7}})
 	diagBody := marshal(t, evalRequest{Trace: testTraceJSON(t, false), Policy: "constant:c"})
 
-	oldWorkers := parallel.DefaultWorkers()
-	t.Cleanup(func() { parallel.SetDefaultWorkers(oldWorkers) })
-
 	var wantEvents, wantSLO string
 	for _, workers := range []int{1, 2, 8} {
-		parallel.SetDefaultWorkers(workers)
 		clock := newEventClock()
-		withEventJournal(t, wideevent.Options{Capacity: 64, SampleRate: 1, Seed: 42, Now: clock.Now})
-		withSLOEngine(t, slo.DefaultConfig(), clock.Now)
-		srv := httptest.NewServer(newMux())
+		_, srv := newTestServerAt(t, clock.Now, func(c *Config) {
+			journalConfig(64, 1, 42)(c)
+			c.Workers = workers
+		})
 
 		for i, id := range []string{"ev-0", "ev-1", "ev-2"} {
 			resp := postRawWithID(t, srv, "/evaluate", id, evalBody)
@@ -368,21 +348,23 @@ func TestEventAndSLODeterministicAcrossWorkers(t *testing.T) {
 // subsequent /evaluate responses degraded with an slo_burn reason,
 // and recovery clears the tag.
 func TestDegradeOnSLOPageEscalation(t *testing.T) {
-	clock := newEventClock()
-	withEventJournal(t, wideevent.Options{Capacity: 64, SampleRate: 1, Seed: 1, Now: clock.Now})
-	eng := withSLOEngine(t, slo.Config{
+	t.Parallel()
+	sloPath := filepath.Join(t.TempDir(), "slo.json")
+	if err := os.WriteFile(sloPath, marshal(t, slo.Config{
 		Objectives:    []slo.Objective{{Name: "avail", Kind: slo.KindAvailability, Target: 0.9}},
 		Windows:       []slo.Window{{Name: "fast", ShortSeconds: 60, LongSeconds: 300, Burn: 5, Severity: "page"}},
 		BucketSeconds: 10,
-	}, clock.Now)
-	oldDegrade := degradeOnSLOPage
-	degradeOnSLOPage = true
-	t.Cleanup(func() { degradeOnSLOPage = oldDegrade })
-	// Disable intrinsic degradation: the burn must be the only reason.
-	withThresholds(t, resilience.Thresholds{})
-
-	srv := httptest.NewServer(newMux())
-	defer srv.Close()
+	}), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	clock := newEventClock()
+	s, srv := newTestServerAt(t, clock.Now, func(c *Config) {
+		journalConfig(64, 1, 1)(c)
+		c.SLOConfig, c.DegradeOnSLOPage = sloPath, true
+		// Disable intrinsic degradation: the burn must be the only reason.
+		noDegrade(c)
+	})
+	eng := s.slo
 
 	// Simulate an outage the engine observed: 60 seconds of 500s.
 	for i := 0; i < 60; i++ {
@@ -436,11 +418,9 @@ func TestDegradeOnSLOPageEscalation(t *testing.T) {
 // /healthz body carries the journal counters and SLO grade, and
 // /debug/vars carries the journal stats block.
 func TestHealthzAndVarsCarryJournal(t *testing.T) {
+	t.Parallel()
 	clock := newEventClock()
-	withEventJournal(t, wideevent.Options{Capacity: 16, SampleRate: 1, Seed: 1, Now: clock.Now})
-	withSLOEngine(t, slo.DefaultConfig(), clock.Now)
-	srv := httptest.NewServer(newMux())
-	defer srv.Close()
+	_, srv := newTestServerAt(t, clock.Now, journalConfig(16, 1, 1))
 
 	resp := postRawWithID(t, srv, "/evaluate", "h-1", marshal(t, evalRequest{Trace: testTraceJSON(t, false), Policy: "constant:c"}))
 	resp.Body.Close()

@@ -6,11 +6,47 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
+	"time"
 
 	"drnet/internal/core"
 	"drnet/internal/mathx"
 	"drnet/internal/traceio"
 )
+
+// newTestServer builds a Server from the default Config as edited by
+// edit (nil keeps the defaults) and serves it over httptest. Both close
+// on cleanup, and a WAL replay has finished by the time it returns.
+func newTestServer(t *testing.T, edit func(*Config)) (*Server, *httptest.Server) {
+	return newTestServerAt(t, nil, edit)
+}
+
+// newTestServerAt is newTestServer with the journal and SLO engine on
+// the clock now, for byte-deterministic events.
+func newTestServerAt(t *testing.T, now func() time.Time, edit func(*Config)) (*Server, *httptest.Server) {
+	t.Helper()
+	cfg := DefaultConfig()
+	if !testing.Verbose() {
+		cfg.LogLevel = "error" // keep failures readable
+	}
+	if edit != nil {
+		edit(&cfg)
+	}
+	s, err := newServer(cfg, now)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		if err := s.Close(); err != nil {
+			t.Errorf("server close: %v", err)
+		}
+	})
+	if s.stream != nil {
+		<-s.stream.replayDone
+	}
+	srv := httptest.NewServer(s.Handler())
+	t.Cleanup(srv.Close)
+	return s, srv
+}
 
 func testTraceJSON(t *testing.T, blankPropensities bool) []traceio.FlatRecord {
 	return testTraceJSONSized(t, blankPropensities, 400)
@@ -59,8 +95,8 @@ func post(t *testing.T, srv *httptest.Server, path string, body any) *http.Respo
 }
 
 func TestHealthz(t *testing.T) {
-	srv := httptest.NewServer(newMux())
-	defer srv.Close()
+	t.Parallel()
+	_, srv := newTestServer(t, nil)
 	resp, err := http.Get(srv.URL + "/healthz")
 	if err != nil {
 		t.Fatal(err)
@@ -72,8 +108,8 @@ func TestHealthz(t *testing.T) {
 }
 
 func TestEvaluateEndpoint(t *testing.T) {
-	srv := httptest.NewServer(newMux())
-	defer srv.Close()
+	t.Parallel()
+	_, srv := newTestServer(t, nil)
 	resp := post(t, srv, "/evaluate", evalRequest{
 		Trace:   testTraceJSON(t, false),
 		Policy:  "constant:c",
@@ -104,8 +140,8 @@ func TestEvaluateEndpoint(t *testing.T) {
 }
 
 func TestEvaluateEstimatesPropensities(t *testing.T) {
-	srv := httptest.NewServer(newMux())
-	defer srv.Close()
+	t.Parallel()
+	_, srv := newTestServer(t, nil)
 	// Without estimation: 400.
 	resp := post(t, srv, "/evaluate", evalRequest{
 		Trace:  testTraceJSON(t, true),
@@ -128,8 +164,8 @@ func TestEvaluateEstimatesPropensities(t *testing.T) {
 }
 
 func TestDiagnoseEndpoint(t *testing.T) {
-	srv := httptest.NewServer(newMux())
-	defer srv.Close()
+	t.Parallel()
+	_, srv := newTestServer(t, nil)
 	resp := post(t, srv, "/diagnose", evalRequest{
 		Trace:  testTraceJSON(t, false),
 		Policy: "best-observed",
@@ -148,8 +184,8 @@ func TestDiagnoseEndpoint(t *testing.T) {
 }
 
 func TestEvaluateBadRequests(t *testing.T) {
-	srv := httptest.NewServer(newMux())
-	defer srv.Close()
+	t.Parallel()
+	_, srv := newTestServer(t, nil)
 	cases := []struct {
 		name string
 		body any

@@ -5,26 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"net/http/pprof"
-	"os"
-	"runtime"
 	"time"
 
 	"drnet/internal/obs"
 	"drnet/internal/resilience"
 	"drnet/internal/wideevent"
 )
-
-// srvLog is the service's structured logger. Access logs and handler
-// events go through it; tests swap the sink via SetOutput.
-var srvLog = obs.NewLogger(os.Stderr, obs.LevelInfo)
-
-// serverStart anchors the uptime reported by /healthz and /debug/vars.
-var serverStart = time.Now()
-
-// Request metrics, one series per route (pre-created at mux wiring so
-// every series is visible on /metrics from the first scrape).
-var httpRequestBuckets = obs.TimeBuckets
 
 // Estimator-regime metrics exported per /evaluate request: the paper's
 // §4.1 overlap diagnostics as live histograms, so an operator can see
@@ -51,30 +37,13 @@ var (
 	canceledTotal = obs.Default.Counter("drevald_request_canceled_total")
 )
 
-// traceRecorder buffers the most recent completed spans for
-// /debug/traces and the optional -trace-out JSONL export. 512 spans ≈
-// a few hundred requests of history at a handful of spans each; memory
-// is bounded by construction (the ring overwrites). -trace-buffer
-// resizes it at startup.
-var traceRecorder = obs.NewTraceRecorder(512)
-
-// tracedRoutes marks the routes that get a root span per request. Only
-// the compute routes are traced: scrapes of /metrics, /healthz and
-// /debug/vars would otherwise flood the ring with sub-millisecond
-// timelines and evict the requests worth debugging.
-var tracedRoutes = map[string]bool{
-	"/evaluate": true,
-	"/diagnose": true,
-	"/ingest":   true,
-}
+// traceSinkDroppedTotal counts span JSONL lines lost to a slow
+// -trace-out writer; created eagerly so a healthy zero is visible.
+var traceSinkDroppedTotal = obs.Default.Counter("obs_trace_sink_dropped_total")
 
 func init() {
-	obs.Default.SetTraceRecorder(traceRecorder)
 	obs.RegisterRuntimeMetrics(obs.Default)
-	// JSONL-export loss counter: the sampler reads the registry's
-	// current recorder, so the -trace-buffer replacement at startup is
-	// covered.
-	obs.RegisterTraceSinkMetrics(obs.Default)
+	obs.Default.Help("obs_trace_sink_dropped_total", "Trace JSONL sink lines dropped because the export queue was full.")
 	obs.Default.Help("obs_span_seconds", "Span durations by span name; bucket exemplars carry the trace ID.")
 	obs.Default.Help("obs_span_errors_total", "Spans ended in error state, by span name.")
 	obs.Default.Help("drevald_http_requests_total", "HTTP requests served, by route and status class.")
@@ -141,12 +110,24 @@ func statusClass(code int) string {
 	}
 }
 
+// traced reports whether route gets a root span and a wide event per
+// request. Only the compute routes are traced: scrapes of /metrics,
+// /healthz and /debug/vars would otherwise flood the span ring with
+// sub-millisecond timelines and evict the requests worth debugging.
+func traced(route string) bool {
+	switch route {
+	case "/evaluate", "/diagnose", "/ingest":
+		return true
+	}
+	return false
+}
+
 // instrument wraps a handler with the service middleware: request-ID
 // generation/propagation (X-Request-Id in and out, plus the request
 // context), per-route request counters by status class, a latency
 // histogram, an in-flight gauge, and a structured access log line.
-func instrument(route string, h http.HandlerFunc) http.Handler {
-	latency := obs.Default.Histogram("drevald_http_request_seconds", httpRequestBuckets, obs.L("route", route))
+func (s *Server) instrument(route string, h http.HandlerFunc) http.Handler {
+	latency := obs.Default.Histogram("drevald_http_request_seconds", obs.TimeBuckets, obs.L("route", route))
 	inFlight := obs.Default.Gauge("drevald_http_in_flight", obs.L("route", route))
 	byClass := map[string]*obs.Counter{}
 	for _, class := range []string{"2xx", "3xx", "4xx", "5xx"} {
@@ -170,9 +151,8 @@ func instrument(route string, h http.HandlerFunc) http.Handler {
 		// span closes via defer so a panic that escapes this middleware
 		// still commits it to metrics and timelines; the extra tail it
 		// measures (metric update + access log) is microseconds.
-		var span *obs.Span
-		if tracedRoutes[route] {
-			span = obs.Default.StartSpanWithID("http"+route, id).
+		if traced(route) {
+			span := obs.Default.StartRecordedSpan(s.traces, "http"+route, id).
 				Attr("route", route).
 				Attr("method", r.Method)
 			r = r.WithContext(obs.ContextWithSpan(r.Context(), span))
@@ -188,7 +168,7 @@ func instrument(route string, h http.HandlerFunc) http.Handler {
 			// annotate through the request context, and the deferred
 			// Finish commits even when the handler panics (the recovery
 			// below has already rewritten the status to 500 by then).
-			evb := eventJournal.Begin(id, route)
+			evb := s.journal.Begin(id, route)
 			r = r.WithContext(wideevent.ContextWith(r.Context(), evb))
 			defer func() {
 				if rec.status >= 400 {
@@ -210,7 +190,7 @@ func instrument(route string, h http.HandlerFunc) http.Handler {
 			defer func() {
 				if p := recover(); p != nil {
 					panicsTotal.Inc()
-					srvLog.Error("handler panic", "id", id, "route", route, "panic", fmt.Sprint(p))
+					s.log.Error("handler panic", "id", id, "route", route, "panic", fmt.Sprint(p))
 					if !rec.wrote {
 						httpError(rec, http.StatusInternalServerError, "internal server error")
 					} else {
@@ -231,7 +211,7 @@ func instrument(route string, h http.HandlerFunc) http.Handler {
 
 		latency.Observe(dur.Seconds())
 		byClass[statusClass(rec.status)].Inc()
-		srvLog.Info("request",
+		s.log.Info("request",
 			"id", id,
 			"method", r.Method,
 			"route", route,
@@ -242,30 +222,18 @@ func instrument(route string, h http.HandlerFunc) http.Handler {
 	})
 }
 
-// limited puts a handler behind the shared evalLimiter: up to
-// -max-concurrent requests compute at once, -max-queue more wait for a
-// slot (the wait is exported as drevald_queue_wait_seconds), and
+// limited puts a handler behind an admission limiter: up to its
+// concurrency bound requests run at once, its queue bound more wait
+// for a slot (the wait is exported as drevald_queue_wait_seconds), and
 // everything beyond that is shed immediately with 429 + Retry-After so
-// overload degrades into fast, explicit rejections instead of a pile of
-// slow timeouts. A client that gives up while queued gets the usual
+// overload degrades into fast, explicit rejections instead of a pile
+// of slow timeouts. A client that gives up while queued gets the usual
 // 503 cancellation body.
-func limited(route string, h http.HandlerFunc) http.HandlerFunc {
-	return limitedBy(func() *resilience.Limiter { return evalLimiter }, route, h)
-}
-
-// ingestLimiterFn resolves the ingest admission limiter per request,
-// so tests that swap the package variable take effect immediately.
-func ingestLimiterFn() *resilience.Limiter { return ingestLimiter }
-
-// limitedBy is limited with an explicit limiter source: /ingest admits
-// through its own limiter so writers and evaluators cannot starve each
-// other. The limiter is resolved per request (late bound) because the
-// lifecycle tests swap the package variables.
-func limitedBy(limiter func() *resilience.Limiter, route string, h http.HandlerFunc) http.HandlerFunc {
+func limited(l *resilience.Limiter, route string, h http.HandlerFunc) http.HandlerFunc {
 	shed := obs.Default.Counter("drevald_load_shed_total", obs.L("route", route))
-	queueWait := obs.Default.Histogram("drevald_queue_wait_seconds", httpRequestBuckets, obs.L("route", route))
+	queueWait := obs.Default.Histogram("drevald_queue_wait_seconds", obs.TimeBuckets, obs.L("route", route))
 	return func(w http.ResponseWriter, r *http.Request) {
-		release, waited, err := limiter().Acquire(r.Context())
+		release, waited, err := l.Acquire(r.Context())
 		if err != nil {
 			if errors.Is(err, resilience.ErrSaturated) {
 				shed.Inc()
@@ -280,53 +248,4 @@ func limitedBy(limiter func() *resilience.Limiter, route string, h http.HandlerF
 		queueWait.Observe(waited.Seconds())
 		h(w, r)
 	}
-}
-
-// handleMetrics serves the process-wide registry in Prometheus text
-// format — drevald's own request/eval metrics plus the parallel pool
-// gauges, which register on the same default registry.
-func handleMetrics(w http.ResponseWriter, r *http.Request) {
-	obs.Default.MetricsHandler().ServeHTTP(w, r)
-}
-
-// handleVars is the JSON twin of /metrics: a full metric snapshot plus
-// process vitals, in the spirit of expvar.
-func handleVars(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, map[string]any{
-		"version":       obs.Version(),
-		"uptimeSeconds": time.Since(serverStart).Seconds(),
-		"goroutines":    runtime.NumGoroutine(),
-		"workers":       runtime.GOMAXPROCS(0),
-		"events":        eventJournal.Stats(),
-		"metrics":       obs.Default.Snapshot(),
-	})
-}
-
-// handleTraces serves the slowest recently-completed request timelines
-// as JSON: GET /debug/traces?n=10 returns the n slowest traces in the
-// ring, each a parent→child span tree with offsets, durations,
-// attributes and error state.
-func handleTraces(w http.ResponseWriter, r *http.Request) {
-	traceRecorder.Handler().ServeHTTP(w, r)
-}
-
-// newDebugMux builds the opt-in debug listener's mux: pprof, plus
-// /metrics, /debug/vars and /debug/traces so a scraper pointed at the
-// debug port sees everything. Served on a separate address
-// (-debug-addr) so profiling endpoints are never exposed on the
-// service port.
-func newDebugMux() *http.ServeMux {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	mux.HandleFunc("GET /metrics", handleMetrics)
-	mux.HandleFunc("GET /debug/vars", handleVars)
-	mux.HandleFunc("GET /debug/traces", handleTraces)
-	mux.HandleFunc("GET /debug/bias", handleBias)
-	mux.HandleFunc("GET /debug/events", handleEvents)
-	mux.HandleFunc("GET /debug/slo", handleSLO)
-	return mux
 }

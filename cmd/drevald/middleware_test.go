@@ -3,35 +3,33 @@ package main
 import (
 	"bytes"
 	"encoding/json"
-	"flag"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
+
+	"drnet/internal/obs"
 )
 
-// TestMain silences access logs during tests unless -v is set, so
-// failures stay readable. When re-executed with DREVALD_CRASH_CHILD=1
-// the binary becomes a real drevald server instead (the crash-replay
-// chaos suite SIGKILLs it mid-batch and replays its WAL).
+// TestMain re-executes the test binary as a real drevald server when
+// DREVALD_CRASH_CHILD=1 is set: the crash-replay chaos suite SIGKILLs
+// it mid-batch and replays its WAL, and the golden-body test drives it
+// by its flags.
 func TestMain(m *testing.M) {
 	if os.Getenv("DREVALD_CRASH_CHILD") == "1" {
 		main()
 		return
 	}
-	flag.Parse()
-	if !testing.Verbose() {
-		srvLog.SetOutput(io.Discard)
-	}
 	os.Exit(m.Run())
 }
 
 func TestHealthzFields(t *testing.T) {
-	srv := httptest.NewServer(newMux())
-	defer srv.Close()
+	t.Parallel()
+	_, srv := newTestServer(t, nil)
 	resp, err := http.Get(srv.URL + "/healthz")
 	if err != nil {
 		t.Fatal(err)
@@ -56,8 +54,8 @@ func TestHealthzFields(t *testing.T) {
 }
 
 func TestUnknownRoute(t *testing.T) {
-	srv := httptest.NewServer(newMux())
-	defer srv.Close()
+	t.Parallel()
+	_, srv := newTestServer(t, nil)
 	resp, err := http.Get(srv.URL + "/nope")
 	if err != nil {
 		t.Fatal(err)
@@ -69,8 +67,8 @@ func TestUnknownRoute(t *testing.T) {
 }
 
 func TestWrongMethod(t *testing.T) {
-	srv := httptest.NewServer(newMux())
-	defer srv.Close()
+	t.Parallel()
+	_, srv := newTestServer(t, nil)
 	for path, method := range map[string]string{
 		"/healthz":  http.MethodPost,
 		"/diagnose": http.MethodGet,
@@ -92,10 +90,10 @@ func TestWrongMethod(t *testing.T) {
 }
 
 func TestOversizedBody(t *testing.T) {
-	old := maxBodyBytes
-	maxBodyBytes = 1024
-	defer func() { maxBodyBytes = old }()
-	srv := httptest.NewServer(newMux())
+	t.Parallel()
+	s, _ := newTestServer(t, nil)
+	s.maxBody = 1024
+	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 	// Valid JSON well past the limit, so the decoder reads through the
 	// MaxBytesReader cap instead of bailing on a syntax error first.
@@ -103,8 +101,8 @@ func TestOversizedBody(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if int64(len(big)) <= maxBodyBytes {
-		t.Fatalf("test body %d bytes not over the %d limit", len(big), maxBodyBytes)
+	if int64(len(big)) <= s.maxBody {
+		t.Fatalf("test body %d bytes not over the %d limit", len(big), s.maxBody)
 	}
 	resp, err := http.Post(srv.URL+"/evaluate", "application/json", bytes.NewReader(big))
 	if err != nil {
@@ -124,8 +122,8 @@ func TestOversizedBody(t *testing.T) {
 }
 
 func TestRequestIDPropagation(t *testing.T) {
-	srv := httptest.NewServer(newMux())
-	defer srv.Close()
+	t.Parallel()
+	_, srv := newTestServer(t, nil)
 	// Client-supplied ID is echoed back.
 	req, err := http.NewRequest(http.MethodGet, srv.URL+"/healthz", nil)
 	if err != nil {
@@ -193,8 +191,7 @@ func scrapeMetrics(t *testing.T, url string) map[string]float64 {
 // estimator regime, worker pool), and increases monotonically across
 // requests.
 func TestMetricsEndpoint(t *testing.T) {
-	srv := httptest.NewServer(newMux())
-	defer srv.Close()
+	_, srv := newTestServer(t, nil)
 
 	// One successful evaluation populates the eval + bootstrap series.
 	resp := post(t, srv, "/evaluate", evalRequest{
@@ -255,8 +252,8 @@ func TestMetricsEndpoint(t *testing.T) {
 }
 
 func TestDebugVars(t *testing.T) {
-	srv := httptest.NewServer(newMux())
-	defer srv.Close()
+	t.Parallel()
+	_, srv := newTestServer(t, nil)
 	resp, err := http.Get(srv.URL + "/debug/vars")
 	if err != nil {
 		t.Fatal(err)
@@ -282,7 +279,9 @@ func TestDebugVars(t *testing.T) {
 // TestDebugMux exercises the opt-in -debug-addr surface: pprof index,
 // plus the metrics twins.
 func TestDebugMux(t *testing.T) {
-	srv := httptest.NewServer(newDebugMux())
+	t.Parallel()
+	s, _ := newTestServer(t, nil)
+	srv := httptest.NewServer(s.debugMux())
 	defer srv.Close()
 	for _, path := range []string{"/debug/pprof/", "/metrics", "/debug/vars"} {
 		resp, err := http.Get(srv.URL + path)
@@ -300,8 +299,8 @@ func TestDebugMux(t *testing.T) {
 // skipped-resample count (0 on a healthy trace), and responses without
 // a bootstrap omit it.
 func TestBootstrapSkippedField(t *testing.T) {
-	srv := httptest.NewServer(newMux())
-	defer srv.Close()
+	t.Parallel()
+	_, srv := newTestServer(t, nil)
 	resp := post(t, srv, "/evaluate", evalRequest{
 		Trace:   testTraceJSON(t, false),
 		Policy:  "constant:c",
@@ -336,8 +335,8 @@ func TestBootstrapSkippedField(t *testing.T) {
 // TestIntervalJSONCamelCase pins the satellite fix: drInterval must
 // serialize as lo/hi/level, not Lo/Hi/Level.
 func TestIntervalJSONCamelCase(t *testing.T) {
-	srv := httptest.NewServer(newMux())
-	defer srv.Close()
+	t.Parallel()
+	_, srv := newTestServer(t, nil)
 	resp := post(t, srv, "/evaluate", evalRequest{
 		Trace:   testTraceJSON(t, false),
 		Policy:  "constant:c",
@@ -355,6 +354,21 @@ func TestIntervalJSONCamelCase(t *testing.T) {
 	for _, bad := range []string{`"Lo":`, `"Hi":`, `"Level":`} {
 		if strings.Contains(s, bad) {
 			t.Fatalf("capitalized interval key %s in: %s", bad, s)
+		}
+	}
+}
+
+// TestSyncCounterNeverGoesBackwards: scrape-time syncing advances a
+// counter by the growth of a cumulative reading, and a reading that
+// went down (a replaced source) only resets the baseline.
+func TestSyncCounterNeverGoesBackwards(t *testing.T) {
+	t.Parallel()
+	c := obs.NewRegistry().Counter("lost_total")
+	var last atomic.Uint64
+	for _, step := range []struct{ cur, want uint64 }{{5, 5}, {5, 5}, {2, 5}, {9, 12}} {
+		syncCounter(c, &last, step.cur)
+		if got := c.Value(); got != step.want {
+			t.Fatalf("after reading %d: counter %d, want %d", step.cur, got, step.want)
 		}
 	}
 }

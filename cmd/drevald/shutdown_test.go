@@ -4,29 +4,39 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"net"
 	"net/http"
 	"os"
 	"sync"
 	"syscall"
 	"testing"
 	"time"
-
-	"drnet/internal/parallel"
 )
 
 // startTestServer boots the real serve/shutdown lifecycle (not
-// httptest) on a loopback port and returns its base URL, the stop
-// channel and a channel carrying run's exit error.
-func startTestServer(t *testing.T) (url string, stop chan os.Signal, done chan error) {
+// httptest) of a Server built from the default Config as edited by
+// edit, on a loopback port, and returns its base URL, the stop channel
+// and a channel carrying Serve's exit error.
+func startTestServer(t *testing.T, edit func(*Config)) (url string, stop chan os.Signal, done chan error) {
 	t.Helper()
-	srv, err := newServer("127.0.0.1:0")
+	cfg := DefaultConfig()
+	cfg.LogLevel = "error"
+	if edit != nil {
+		edit(&cfg)
+	}
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = s.Close() })
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	stop = make(chan os.Signal, 1)
 	done = make(chan error, 1)
-	go func() { done <- srv.run(stop) }()
-	url = "http://" + srv.addr()
+	go func() { done <- s.Serve(ln, stop) }()
+	url = "http://" + ln.Addr().String()
 	// Wait for the listener to accept.
 	for i := 0; i < 100; i++ {
 		resp, err := http.Get(url + "/healthz")
@@ -45,7 +55,7 @@ func startTestServer(t *testing.T) (url string, stop chan os.Signal, done chan e
 // arrives; the server must finish that request with 200 before run
 // returns, and must refuse new connections afterwards.
 func TestGracefulShutdownDrainsInFlight(t *testing.T) {
-	url, stop, done := startTestServer(t)
+	url, stop, done := startTestServer(t, nil)
 
 	body, err := json.Marshal(evalRequest{
 		Trace:   testTraceJSON(t, false),
@@ -79,7 +89,7 @@ func TestGracefulShutdownDrainsInFlight(t *testing.T) {
 	// Give the request time to reach the handler, then deliver SIGTERM —
 	// the signal main registers alongside os.Interrupt. The bootstrap is
 	// sized to outlast this sleep by a wide margin yet drain well inside
-	// drainTimeout even under -race.
+	// the drain timeout even under -race.
 	time.Sleep(50 * time.Millisecond)
 	stop <- syscall.SIGTERM
 
@@ -88,7 +98,7 @@ func TestGracefulShutdownDrainsInFlight(t *testing.T) {
 		if err != nil {
 			t.Fatalf("run returned %v", err)
 		}
-	case <-time.After(drainTimeout + 5*time.Second):
+	case <-time.After(DefaultConfig().DrainTimeout + 5*time.Second):
 		t.Fatal("server did not shut down")
 	}
 	select {
@@ -115,7 +125,8 @@ func TestGracefulShutdownDrainsInFlight(t *testing.T) {
 // data-race canary, and it doubles as a determinism check: every client
 // sends the same request and must get byte-identical bodies back.
 func TestEvaluateConcurrentStress(t *testing.T) {
-	url, stop, done := startTestServer(t)
+	t.Parallel()
+	url, stop, done := startTestServer(t, nil)
 	defer func() {
 		stop <- syscall.SIGTERM
 		<-done
@@ -179,7 +190,6 @@ func TestEvaluateConcurrentStress(t *testing.T) {
 // response — bootstrap interval included — is byte-identical when the
 // pool runs 1, 2 or 8 workers wide.
 func TestEvaluateDeterministicAcrossWorkerCounts(t *testing.T) {
-	defer parallel.SetDefaultWorkers(0)
 	body, err := json.Marshal(evalRequest{
 		Trace:   testTraceJSON(t, false),
 		Policy:  "constant:c",
@@ -190,8 +200,7 @@ func TestEvaluateDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 	var want []byte
 	for _, w := range []int{1, 2, 8} {
-		parallel.SetDefaultWorkers(w)
-		url, stop, done := startTestServer(t)
+		url, stop, done := startTestServer(t, func(c *Config) { c.Workers = w })
 		resp, err := http.Post(url+"/evaluate", "application/json", bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)

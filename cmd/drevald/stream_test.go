@@ -15,28 +15,31 @@ import (
 	"drnet/internal/walog"
 )
 
-// withStreamEngine installs a fresh streaming engine over a temp WAL
-// dir, replays synchronously (empty log on first call) and restores the
-// disabled state on cleanup. Returns the engine for direct inspection.
-func withStreamEngine(t *testing.T, cfg streamConfig) *streamEngine {
+// newStreamServer is newTestServer with streaming enabled over a fresh
+// WAL dir; edit runs afterwards and may override any field.
+func newStreamServer(t *testing.T, edit func(*Config)) (*Server, *httptest.Server) {
+	dir := t.TempDir()
+	return newTestServer(t, func(c *Config) {
+		c.WALDir = dir
+		if edit != nil {
+			edit(c)
+		}
+	})
+}
+
+// openStreamServer builds a streaming Server over dir that the caller
+// closes, for tests that reopen the same WAL.
+func openStreamServer(t *testing.T, dir string, segmentBytes int64) *Server {
 	t.Helper()
-	if cfg.Dir == "" {
-		cfg.Dir = t.TempDir()
-	}
-	eng, err := newStreamEngine(cfg)
+	cfg := DefaultConfig()
+	cfg.LogLevel = "error"
+	cfg.WALDir, cfg.SegmentBytes = dir, segmentBytes
+	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng.replay()
-	old := streamEng
-	streamEng = eng
-	t.Cleanup(func() {
-		streamEng = old
-		if err := eng.close(); err != nil {
-			t.Errorf("wal close: %v", err)
-		}
-	})
-	return eng
+	<-s.stream.replayDone
+	return s
 }
 
 // ingestBatch POSTs one batch and decodes the ack.
@@ -80,9 +83,8 @@ func streamEvaluate(t *testing.T, srv *httptest.Server, policy string, opts eval
 // bit-identical Values for DM/IPS/DR (the core suite's guarantee,
 // carried through the full HTTP surface).
 func TestStreamEvaluateMatchesBatch(t *testing.T) {
-	withStreamEngine(t, streamConfig{})
-	srv := httptest.NewServer(newMux())
-	defer srv.Close()
+	t.Parallel()
+	_, srv := newStreamServer(t, nil)
 
 	records := testTraceJSON(t, false)
 	var epoch int
@@ -160,11 +162,12 @@ func abs(x float64) float64 {
 // the HTTP surface: close the engine, reopen the same WAL dir, replay,
 // and the streamed /evaluate body must be byte-identical.
 func TestStreamRestartByteIdentical(t *testing.T) {
+	t.Parallel()
 	dir := t.TempDir()
 	records := testTraceJSON(t, false)
 
-	read := func() []byte {
-		srv := httptest.NewServer(newMux())
+	read := func(s *Server) []byte {
+		srv := httptest.NewServer(s.Handler())
 		defer srv.Close()
 		resp := post(t, srv, "/evaluate", evalRequest{Policy: "best-observed", Options: evalOptions{Clip: 10}})
 		defer resp.Body.Close()
@@ -180,37 +183,25 @@ func TestStreamRestartByteIdentical(t *testing.T) {
 
 	var want []byte
 	func() {
-		eng, err := newStreamEngine(streamConfig{Dir: dir, SegmentBytes: 4096})
-		if err != nil {
-			t.Fatal(err)
-		}
-		eng.replay()
-		streamEng = eng
-		defer func() { streamEng = nil }()
-		defer eng.close()
-		srv := httptest.NewServer(newMux())
+		s := openStreamServer(t, dir, 4096)
+		defer s.Close()
+		srv := httptest.NewServer(s.Handler())
 		for i := 0; i < len(records); i += 50 {
 			ingestBatch(t, srv, records[i:i+50])
 		}
 		srv.Close()
-		want = read()
+		want = read(s)
 	}()
 
-	eng2, err := newStreamEngine(streamConfig{Dir: dir, SegmentBytes: 4096})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng2.replay()
-	streamEng = eng2
-	defer func() { streamEng = nil }()
-	defer eng2.close()
-	if got := eng2.builder.Len(); got != len(records) {
+	s := openStreamServer(t, dir, 4096)
+	defer s.Close()
+	if got := s.stream.builder.Len(); got != len(records) {
 		t.Fatalf("replayed %d records, want %d", got, len(records))
 	}
-	if eng2.wal.Segments() < 2 {
-		t.Fatalf("expected multiple segments at SegmentBytes=4096, got %d", eng2.wal.Segments())
+	if s.stream.wal.Segments() < 2 {
+		t.Fatalf("expected multiple segments at SegmentBytes=4096, got %d", s.stream.wal.Segments())
 	}
-	got := read()
+	got := read(s)
 	if !bytes.Equal(got, want) {
 		t.Fatalf("streamed response differs after restart:\n%s\nvs\n%s", got, want)
 	}
@@ -221,10 +212,11 @@ func TestStreamRestartByteIdentical(t *testing.T) {
 // stale_aggregates reason and an O(1) SNIPS fallback; refreshModel
 // refits and clears it.
 func TestStreamStalenessDegrades(t *testing.T) {
-	withStreamEngine(t, streamConfig{MaxModelAge: 100})
-	withThresholds(t, resilience.Thresholds{}) // isolate the staleness reason
-	srv := httptest.NewServer(newMux())
-	defer srv.Close()
+	t.Parallel()
+	_, srv := newStreamServer(t, func(c *Config) {
+		noDegrade(c) // isolate the staleness reason
+		c.MaxModelAge = 100
+	})
 
 	records := testTraceJSON(t, false)
 	ingestBatch(t, srv, records[:100])
@@ -264,11 +256,11 @@ func TestStreamStalenessDegrades(t *testing.T) {
 // 400 malformed/empty, 413 oversized, 422 invalid records, 429 shed
 // with Retry-After, 503 while replaying.
 func TestIngestErrorSurface(t *testing.T) {
+	t.Parallel()
 	records := testTraceJSON(t, false)
 
 	t.Run("disabled 404", func(t *testing.T) {
-		srv := httptest.NewServer(newMux())
-		defer srv.Close()
+		_, srv := newTestServer(t, nil)
 		resp := post(t, srv, "/ingest", ingestRequest{Records: records[:10]})
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusNotFound {
@@ -276,9 +268,7 @@ func TestIngestErrorSurface(t *testing.T) {
 		}
 	})
 
-	withStreamEngine(t, streamConfig{})
-	srv := httptest.NewServer(newMux())
-	defer srv.Close()
+	s, srv := newStreamServer(t, nil)
 
 	t.Run("empty batch 400", func(t *testing.T) {
 		resp := post(t, srv, "/ingest", ingestRequest{})
@@ -300,9 +290,7 @@ func TestIngestErrorSurface(t *testing.T) {
 	})
 
 	t.Run("oversized 413", func(t *testing.T) {
-		old := ingestMaxBytes
-		ingestMaxBytes = 64
-		defer func() { ingestMaxBytes = old }()
+		_, srv := newStreamServer(t, func(c *Config) { c.IngestMaxBytes = 64 })
 		resp := post(t, srv, "/ingest", ingestRequest{Records: records[:10]})
 		var buf bytes.Buffer
 		_, _ = buf.ReadFrom(resp.Body)
@@ -325,16 +313,14 @@ func TestIngestErrorSurface(t *testing.T) {
 			t.Fatalf("error not record-addressed: %s", buf.String())
 		}
 		// Nothing invalid reached the WAL or the view.
-		if streamEng.wal.Seq() != 0 || streamEng.builder.Len() != 0 {
-			t.Fatalf("invalid batch left state: seq=%d len=%d", streamEng.wal.Seq(), streamEng.builder.Len())
+		if s.stream.wal.Seq() != 0 || s.stream.builder.Len() != 0 {
+			t.Fatalf("invalid batch left state: seq=%d len=%d", s.stream.wal.Seq(), s.stream.builder.Len())
 		}
 	})
 
 	t.Run("shed 429 with Retry-After", func(t *testing.T) {
-		old := ingestLimiter
-		ingestLimiter = resilience.NewLimiter(1, 0)
-		defer func() { ingestLimiter = old }()
-		release, _, err := ingestLimiter.Acquire(t.Context())
+		s, srv := newStreamServer(t, func(c *Config) { c.IngestMaxConcurrent, c.IngestMaxQueue = 1, 0 })
+		release, _, err := s.ingestLimit.Acquire(t.Context())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -350,8 +336,8 @@ func TestIngestErrorSurface(t *testing.T) {
 	})
 
 	t.Run("replaying 503", func(t *testing.T) {
-		streamEng.replaying.Store(true)
-		defer streamEng.replaying.Store(false)
+		s.stream.replaying.Store(true)
+		defer s.stream.replaying.Store(false)
 		for _, path := range []string{"/ingest", "/evaluate", "/diagnose"} {
 			body := any(ingestRequest{Records: records[:10]})
 			if path != "/ingest" {
@@ -401,9 +387,7 @@ func TestIngestErrorSurface(t *testing.T) {
 // ticks, and after the fault clears the same batch ingests cleanly —
 // the retry contract a durable queue owes its producers.
 func TestChaosIngestWALFault(t *testing.T) {
-	withStreamEngine(t, streamConfig{})
-	srv := httptest.NewServer(newMux())
-	defer srv.Close()
+	s, srv := newStreamServer(t, nil)
 	records := testTraceJSON(t, false)
 
 	errsBefore := walAppendErrorsTotal.Value()
@@ -420,8 +404,8 @@ func TestChaosIngestWALFault(t *testing.T) {
 	if walAppendErrorsTotal.Value() != errsBefore+1 {
 		t.Fatal("wal append error counter did not tick")
 	}
-	if streamEng.builder.Len() != 0 {
-		t.Fatalf("un-durable batch folded into the view: %d records", streamEng.builder.Len())
+	if s.stream.builder.Len() != 0 {
+		t.Fatalf("un-durable batch folded into the view: %d records", s.stream.builder.Len())
 	}
 
 	// Retry after the fault clears: clean ack, state consistent.
@@ -434,9 +418,8 @@ func TestChaosIngestWALFault(t *testing.T) {
 // TestStreamHealthzWALBlock: /healthz surfaces the WAL state (epoch,
 // fsync policy, replay progress) once streaming is enabled.
 func TestStreamHealthzWALBlock(t *testing.T) {
-	withStreamEngine(t, streamConfig{})
-	srv := httptest.NewServer(newMux())
-	defer srv.Close()
+	t.Parallel()
+	_, srv := newStreamServer(t, nil)
 	ingestBatch(t, srv, testTraceJSON(t, false)[:100])
 
 	resp, err := http.Get(srv.URL + "/healthz")
@@ -460,19 +443,18 @@ func TestStreamHealthzWALBlock(t *testing.T) {
 // TestStreamBiasRefresh: with BiasRefresh set, ingest republishes the
 // observatory report over the streamed view, stamped with the epoch.
 func TestStreamBiasRefresh(t *testing.T) {
-	eng := withStreamEngine(t, streamConfig{BiasRefresh: 100})
-	srv := httptest.NewServer(newMux())
-	defer srv.Close()
+	t.Parallel()
+	s, srv := newStreamServer(t, func(c *Config) { c.BiasRefresh = 100 })
 	records := testTraceJSON(t, false)
 
 	ingestBatch(t, srv, records[:150])
 	streamEvaluate(t, srv, "constant:a", evalOptions{}) // register a policy
-	lastBias.Store(nil)
+	s.lastBias.Store(nil)
 	ingestBatch(t, srv, records[150:300])
 
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if st := lastBias.Load(); st != nil {
+		if st := s.lastBias.Load(); st != nil {
 			if !strings.HasPrefix(st.requestID, "ingest@epoch=") {
 				t.Fatalf("bias report stamped %q, want ingest@epoch=...", st.requestID)
 			}
@@ -486,31 +468,25 @@ func TestStreamBiasRefresh(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	_ = eng
 }
 
 // TestStreamSegmentRotationManifest: small segments force rotation
 // mid-stream; the manifest matches the scan on reopen and recovery
 // reports every frame.
 func TestStreamSegmentRotationManifest(t *testing.T) {
+	t.Parallel()
 	dir := t.TempDir()
 	func() {
-		eng, err := newStreamEngine(streamConfig{Dir: dir, SegmentBytes: 2048})
-		if err != nil {
-			t.Fatal(err)
-		}
-		eng.replay()
-		streamEng = eng
-		defer func() { streamEng = nil }()
-		defer eng.close()
-		srv := httptest.NewServer(newMux())
+		s := openStreamServer(t, dir, 2048)
+		defer s.Close()
+		srv := httptest.NewServer(s.Handler())
 		defer srv.Close()
 		records := testTraceJSON(t, false)
 		for i := 0; i < 300; i += 20 {
 			ingestBatch(t, srv, records[i:i+20])
 		}
-		if eng.wal.Segments() < 3 {
-			t.Fatalf("no rotation at 2 KiB segments: %d segment(s)", eng.wal.Segments())
+		if s.stream.wal.Segments() < 3 {
+			t.Fatalf("no rotation at 2 KiB segments: %d segment(s)", s.stream.wal.Segments())
 		}
 	}()
 
@@ -537,9 +513,7 @@ func TestIngestLegEvalFlatness(t *testing.T) {
 	if testing.Short() {
 		t.Skip("latency measurement skipped in -short mode")
 	}
-	withStreamEngine(t, streamConfig{Fsync: walog.FsyncNever})
-	srv := httptest.NewServer(newMux())
-	defer srv.Close()
+	_, srv := newStreamServer(t, func(c *Config) { c.Fsync = "never" })
 
 	res, err := benchkit.RunIngest(benchkit.IngestConfig{
 		URL: srv.URL, Records: 5000, BatchSize: 250, EvalSamples: 40, Seed: 7,

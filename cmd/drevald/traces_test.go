@@ -10,8 +10,11 @@ import (
 	"testing"
 
 	"drnet/internal/obs"
-	"drnet/internal/resilience"
 )
+
+// noDegrade zeroes the degradation thresholds, so only an explicit
+// escalation can degrade a response.
+func noDegrade(c *Config) { c.ESSRatioFloor, c.MaxWeightCeiling, c.ZeroSupportCap = 0, 0, 0 }
 
 // tracesBody mirrors the /debug/traces response shape.
 type tracesBody struct {
@@ -79,11 +82,10 @@ func postWithID(t *testing.T, srv *httptest.Server, path, id string, body any) *
 // root is the HTTP request and whose children are the evaluation
 // phases, bootstrap included.
 func TestEvaluateTimelineEndToEnd(t *testing.T) {
+	t.Parallel()
 	// All-zero thresholds disable degradation: this test wants the
 	// healthy timeline shape.
-	withThresholds(t, resilience.Thresholds{})
-	srv := httptest.NewServer(newMux())
-	defer srv.Close()
+	_, srv := newTestServer(t, noDegrade)
 
 	id := "e2e-trace-" + obs.NewID()
 	resp := postWithID(t, srv, "/evaluate", id, evalRequest{
@@ -162,9 +164,7 @@ func childNames(cs []spanNode) []string {
 // degraded attribute, an error message, and a tick of
 // obs_span_errors_total{span="http/evaluate"}.
 func TestDegradedRequestMarksSpanError(t *testing.T) {
-	withThresholds(t, resilience.Thresholds{ESSRatioFloor: 1.0})
-	srv := httptest.NewServer(newMux())
-	defer srv.Close()
+	_, srv := newTestServer(t, func(c *Config) { c.ESSRatioFloor = 1.0 })
 
 	errsBefore := obs.Default.Counter("obs_span_errors_total", obs.L("span", "http/evaluate")).Value()
 	id := "degraded-trace-" + obs.NewID()
@@ -211,10 +211,10 @@ func TestDegradedRequestMarksSpanError(t *testing.T) {
 // TestScrapeRoutesNotTraced: /metrics and /healthz must not consume
 // ring slots — only compute routes are traced.
 func TestScrapeRoutesNotTraced(t *testing.T) {
-	srv := httptest.NewServer(newMux())
-	defer srv.Close()
+	t.Parallel()
+	s, srv := newTestServer(t, nil)
 
-	before := traceRecorder.Recorded()
+	before := s.traces.Recorded()
 	for _, path := range []string{"/healthz", "/metrics", "/debug/vars", "/debug/traces"} {
 		resp, err := http.Get(srv.URL + path)
 		if err != nil {
@@ -222,7 +222,7 @@ func TestScrapeRoutesNotTraced(t *testing.T) {
 		}
 		resp.Body.Close()
 	}
-	if after := traceRecorder.Recorded(); after != before {
+	if after := s.traces.Recorded(); after != before {
 		t.Fatalf("scrape routes recorded %d spans", after-before)
 	}
 }
@@ -231,18 +231,17 @@ func TestScrapeRoutesNotTraced(t *testing.T) {
 // -trace-out path) receives every completed span of a request as
 // parseable JSON lines sharing the request's trace ID.
 func TestTraceSinkStreamsJSONL(t *testing.T) {
-	withThresholds(t, resilience.Thresholds{})
+	t.Parallel()
+	s, srv := newTestServer(t, noDegrade)
 	var mu sync.Mutex
 	var lines [][]byte
-	traceRecorder.SetSink(func(line []byte) {
+	s.traces.SetSink(func(line []byte) {
 		mu.Lock()
 		defer mu.Unlock()
 		lines = append(lines, append([]byte(nil), line...))
 	})
-	defer traceRecorder.SetSink(nil)
+	defer s.traces.SetSink(nil)
 
-	srv := httptest.NewServer(newMux())
-	defer srv.Close()
 	id := "sink-trace-" + obs.NewID()
 	resp := postWithID(t, srv, "/evaluate", id, evalRequest{
 		Trace:   testTraceJSON(t, false),
@@ -255,7 +254,7 @@ func TestTraceSinkStreamsJSONL(t *testing.T) {
 	}
 	// The sink is drained by a background goroutine; removing it
 	// flushes every queued line before we inspect them.
-	traceRecorder.SetSink(nil)
+	s.traces.SetSink(nil)
 
 	mu.Lock()
 	defer mu.Unlock()
@@ -282,7 +281,9 @@ func TestTraceSinkStreamsJSONL(t *testing.T) {
 // TestDebugTracesOnBothMuxes: the endpoint is served on the service
 // port and the debug port, and rejects a malformed n.
 func TestDebugTracesOnBothMuxes(t *testing.T) {
-	for name, mux := range map[string]http.Handler{"service": newMux(), "debug": newDebugMux()} {
+	t.Parallel()
+	s, _ := newTestServer(t, nil)
+	for name, mux := range map[string]http.Handler{"service": s.Handler(), "debug": s.debugMux()} {
 		srv := httptest.NewServer(mux)
 		resp, err := http.Get(srv.URL + "/debug/traces")
 		if err != nil {

@@ -48,6 +48,14 @@ func (r *Registry) StartSpan(name string) *Span {
 // exemplars and timelines match the access logs. An empty id gets a
 // fresh one.
 func (r *Registry) StartSpanWithID(name, id string) *Span {
+	return r.StartRecordedSpan(r.TraceRecorder(), name, id)
+}
+
+// StartRecordedSpan is StartSpanWithID with the span tree committing to
+// tr instead of the registry's recorder (nil records no timeline):
+// durations still land in r's histograms, but a server that owns its
+// recorder keeps its timelines apart from other instances sharing r.
+func (r *Registry) StartRecordedSpan(tr *TraceRecorder, name, id string) *Span {
 	if id == "" {
 		id = NewID()
 	}
@@ -58,7 +66,7 @@ func (r *Registry) StartSpanWithID(name, id string) *Span {
 		spanID: NewID(),
 		start:  time.Now(),
 		hist:   r.Histogram(spanSeconds, TimeBuckets, L("span", name)),
-		rec:    r.TraceRecorder(),
+		rec:    tr,
 	}
 }
 

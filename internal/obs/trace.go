@@ -6,7 +6,6 @@ import (
 	"net/http"
 	"sort"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -52,49 +51,7 @@ type SpanRecord struct {
 type TraceRecorder struct {
 	slots []atomic.Pointer[SpanRecord]
 	next  atomic.Uint64
-
-	sinkMu      sync.Mutex                // serializes SetSink swaps, not line writes
-	sink        atomic.Pointer[sinkState] // guarded by sinkMu (writes)
-	sinkDropped atomic.Uint64
-}
-
-// writerFunc is the sink contract: receives one marshalled JSONL line
-// (newline included). Kept as a func so the recorder does not own any
-// file lifecycle. Calls are made from a single drainer goroutine, so
-// the func never runs concurrently with itself.
-type writerFunc func(line []byte)
-
-// sinkBufferLines bounds how many marshalled lines may be queued for
-// the drainer before record starts dropping.
-const sinkBufferLines = 1024
-
-// sinkState is one installed sink: its line queue, a quit signal for
-// SetSink, and done closed once the drainer has flushed and exited.
-type sinkState struct {
-	ch   chan []byte
-	quit chan struct{}
-	done chan struct{}
-}
-
-// drain feeds queued lines to w until quit, then flushes whatever is
-// still buffered and exits.
-func (st *sinkState) drain(w writerFunc) {
-	defer close(st.done)
-	for {
-		select {
-		case line := <-st.ch:
-			w(line)
-		case <-st.quit:
-			for {
-				select {
-				case line := <-st.ch:
-					w(line)
-				default:
-					return
-				}
-			}
-		}
-	}
+	sink  LineSink
 }
 
 // NewTraceRecorder returns a recorder holding up to capacity completed
@@ -114,31 +71,11 @@ func (tr *TraceRecorder) Capacity() int { return len(tr.slots) }
 func (tr *TraceRecorder) Recorded() uint64 { return tr.next.Load() }
 
 // SetSink installs (or, with nil, removes) a JSONL sink. Each completed
-// span is marshalled to one newline-terminated line and handed to a
-// background drainer goroutine that calls w serially, so lines never
-// interleave and a slow w never blocks span End. The queue holds
-// sinkBufferLines lines; overflow is dropped and counted (SinkDropped).
-// Replacing or removing a sink flushes the old sink's queue and waits
-// for its drainer to exit, so after SetSink(nil) returns every
-// delivered line has been written — spans ending concurrently with the
-// swap may be lost, not half-written.
-func (tr *TraceRecorder) SetSink(w func(line []byte)) {
-	tr.sinkMu.Lock()
-	defer tr.sinkMu.Unlock()
-	var st *sinkState
-	if w != nil {
-		st = &sinkState{
-			ch:   make(chan []byte, sinkBufferLines),
-			quit: make(chan struct{}),
-			done: make(chan struct{}),
-		}
-		go st.drain(w)
-	}
-	if old := tr.sink.Swap(st); old != nil {
-		close(old.quit)
-		<-old.done
-	}
-}
+// span is marshalled to one newline-terminated line with the
+// LineSink contract: a slow w never blocks span End, overflow is
+// dropped and counted (SinkDropped), and after SetSink(nil) returns
+// every delivered line has been written.
+func (tr *TraceRecorder) SetSink(w func(line []byte)) { tr.sink.Set(w) }
 
 // SinkDropped reports how many JSONL lines were discarded because the
 // sink queue was full (the sink writer could not keep up).
@@ -146,13 +83,13 @@ func (tr *TraceRecorder) SinkDropped() uint64 {
 	if tr == nil {
 		return 0
 	}
-	return tr.sinkDropped.Load()
+	return tr.sink.Dropped()
 }
 
 // record commits one completed span. Called from Span.End; nil-safe so
 // spans on registries without a recorder cost nothing extra. The sink
-// hand-off is non-blocking: marshalling happens here, on an immutable
-// record, and the line is queued for the drainer or dropped.
+// hand-off is non-blocking: the immutable record is marshalled here and
+// queued for the drainer or dropped.
 func (tr *TraceRecorder) record(rec *SpanRecord) {
 	if tr == nil || rec == nil {
 		return
@@ -160,15 +97,7 @@ func (tr *TraceRecorder) record(rec *SpanRecord) {
 	seq := tr.next.Add(1) - 1
 	rec.seq = seq
 	tr.slots[seq%uint64(len(tr.slots))].Store(rec)
-	if st := tr.sink.Load(); st != nil {
-		if b, err := json.Marshal(rec); err == nil {
-			select {
-			case st.ch <- append(b, '\n'):
-			default:
-				tr.sinkDropped.Add(1)
-			}
-		}
-	}
+	tr.sink.Write(rec)
 }
 
 // Records returns a snapshot of the buffered spans in commit order
@@ -368,27 +297,4 @@ func ContextWithSpan(ctx context.Context, sp *Span) context.Context {
 func SpanFromContext(ctx context.Context) *Span {
 	sp, _ := ctx.Value(spanCtxKey{}).(*Span)
 	return sp
-}
-
-// RegisterTraceSinkMetrics exports JSONL-sink overflow as a counter:
-//
-//	obs_trace_sink_dropped_total    trace lines discarded on sink-queue overflow
-//
-// so export loss is visible on /metrics instead of only via
-// SinkDropped. The counter is created eagerly (a zero reading is the
-// healthy signal operators alert on disappearing) and synced by a
-// scrape-time sampler that reads the registry's *current* recorder —
-// recorder replacement after registration is handled, and a fresh
-// recorder's lower cumulative count simply pauses the counter until
-// the new recorder's drops catch up.
-func RegisterTraceSinkMetrics(reg *Registry) {
-	RegisterLossCounter(reg, "obs_trace_sink_dropped_total",
-		"Trace JSONL sink lines dropped because the export queue was full.",
-		func() (uint64, bool) {
-			tr := reg.TraceRecorder()
-			if tr == nil {
-				return 0, false
-			}
-			return tr.SinkDropped(), true
-		})
 }

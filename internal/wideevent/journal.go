@@ -1,11 +1,11 @@
 package wideevent
 
 import (
-	"encoding/json"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
+
+	"drnet/internal/obs"
 )
 
 // Options configures a Journal.
@@ -50,9 +50,7 @@ type Journal struct {
 
 	observers atomic.Pointer[[]func(*Event)]
 
-	sinkMu      sync.Mutex                     // serializes SetSink swaps, not line writes
-	sink        atomic.Pointer[eventSinkState] // guarded by sinkMu (writes)
-	sinkDropped atomic.Uint64
+	sink obs.LineSink
 }
 
 // NewJournal builds a journal. Invalid options are clamped: capacity
@@ -136,16 +134,7 @@ func (j *Journal) emit(ev *Event) {
 	seq := j.next.Add(1) - 1
 	ev.Seq = seq
 	j.slots[seq%uint64(len(j.slots))].Store(ev)
-	if st := j.sink.Load(); st != nil {
-		if b, err := json.Marshal(ev); err == nil {
-			select {
-			//lint:allow hotalloc sink path only runs when -events-out is set; Marshal already allocated b and the newline append reuses its spare capacity
-			case st.ch <- append(b, '\n'):
-			default:
-				j.sinkDropped.Add(1)
-			}
-		}
-	}
+	j.sink.Write(ev)
 }
 
 // keep is the tail-biased retention policy: the whole point of the
@@ -237,7 +226,7 @@ func (j *Journal) Stats() Stats {
 		Emitted:     j.emitted.Load(),
 		Recorded:    recorded,
 		SampledOut:  j.sampledOut.Load(),
-		SinkDropped: j.sinkDropped.Load(),
+		SinkDropped: j.sink.Dropped(),
 		Buffered:    buffered,
 		Capacity:    len(j.slots),
 	}
@@ -249,64 +238,18 @@ func (j *Journal) SinkDropped() uint64 {
 	if j == nil {
 		return 0
 	}
-	return j.sinkDropped.Load()
+	return j.sink.Dropped()
 }
 
-// eventSinkBufferLines bounds the drainer queue, matching the trace
-// recorder's sink.
-const eventSinkBufferLines = 1024
-
-// eventSinkState is one installed sink: queue, quit signal, and done
-// closed when the drainer has flushed and exited.
-type eventSinkState struct {
-	ch   chan []byte
-	quit chan struct{}
-	done chan struct{}
-}
-
-func (st *eventSinkState) drain(w func(line []byte)) {
-	defer close(st.done)
-	for {
-		select {
-		case line := <-st.ch:
-			w(line)
-		case <-st.quit:
-			for {
-				select {
-				case line := <-st.ch:
-					w(line)
-				default:
-					return
-				}
-			}
-		}
-	}
-}
-
-// SetSink installs (or, with nil, removes) the JSONL export sink —
-// the same non-blocking contract as obs.TraceRecorder.SetSink: lines
-// are marshalled on the emitting goroutine, written serially by one
-// background drainer, and dropped (counted) rather than blocking a
-// request when the queue is full. Replacing or removing a sink
-// flushes the old queue; after SetSink(nil) returns, every delivered
-// line has been written.
+// SetSink installs (or, with nil, removes) the JSONL export sink with
+// the obs.LineSink contract shared with obs.TraceRecorder.SetSink:
+// lines are marshalled on the emitting goroutine, written serially by
+// one background drainer, and dropped (counted) rather than blocking a
+// request when the queue is full. After SetSink(nil) returns, every
+// delivered line has been written.
 func (j *Journal) SetSink(w func(line []byte)) {
 	if j == nil {
 		return
 	}
-	j.sinkMu.Lock()
-	defer j.sinkMu.Unlock()
-	var st *eventSinkState
-	if w != nil {
-		st = &eventSinkState{
-			ch:   make(chan []byte, eventSinkBufferLines),
-			quit: make(chan struct{}),
-			done: make(chan struct{}),
-		}
-		go st.drain(w)
-	}
-	if old := j.sink.Swap(st); old != nil {
-		close(old.quit)
-		<-old.done
-	}
+	j.sink.Set(w)
 }

@@ -409,8 +409,8 @@ func TestHandler(t *testing.T) {
 
 // TestConcurrentRecordAndSetSink races Finish (the Record/emit path)
 // against repeated SetSink install/replace/remove cycles — the
-// sinkMu-guarded swap contract the lockguard annotation on
-// Journal.sink documents. Under -race this is the regression test for
+// mu-guarded swap contract the lockguard annotation on obs.LineSink
+// documents. Under -race this is the regression test for
 // that contract: emitters read the sink pointer lock-free while
 // SetSink serializes swaps and flushes the outgoing drainer, so no
 // delivered line may be lost, duplicated, or written after the final
