@@ -22,6 +22,7 @@ func main() {
 	link := tcp.Link{CapacityPkts: 100, QueuePkts: 30, CrossMean: 20, CrossStd: 5}
 	const rounds = 5000
 
+	names := []string{"reno", "aggressive"}
 	protos := map[string]func() tcp.Protocol{
 		"reno":       func() tcp.Protocol { return &tcp.Reno{} },
 		"aggressive": func() tcp.Protocol { return &tcp.Aggressive{} },
@@ -30,7 +31,8 @@ func main() {
 	// Closed-loop ground truths on the same cross-traffic realization.
 	truths := map[string]float64{}
 	traces := map[string][]tcp.RoundRecord{}
-	for name, mk := range protos {
+	for _, name := range names {
+		mk := protos[name]
 		//lint:allow seedflow pedagogical fixed-seed walkthrough; reproducibility over variation
 		rng := mathx.NewRNG(7)
 		trace, goodput, err := tcp.RunClosedLoop(mk(), link, rounds, rng)
@@ -44,8 +46,8 @@ func main() {
 	}
 
 	fmt.Println("\ntrace replay (rows: recorded under; columns: evaluated protocol)")
-	for _, rec := range []string{"reno", "aggressive"} {
-		for _, eval := range []string{"reno", "aggressive"} {
+	for _, rec := range names {
+		for _, eval := range names {
 			est, err := tcp.ReplayTrace(protos[eval](), traces[rec])
 			if err != nil {
 				panic(err)
