@@ -9,6 +9,7 @@
 package drnet_test
 
 import (
+	"context"
 	"testing"
 
 	"drnet/internal/core"
@@ -41,9 +42,10 @@ func concurrently(b *testing.B) {
 
 func benchDR(b *testing.B) {
 	tr, np, model := banditTrace(b, microN)
+	v := mustView(b, tr)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.DoublyRobust(tr, np, model, core.DROptions{}); err != nil {
+		if _, err := core.DoublyRobustViewCtx(bg, v, np, model, core.DROptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -55,9 +57,10 @@ func BenchmarkEstimatorDRParallel(b *testing.B)   { concurrently(b); benchDR(b) 
 
 func benchIPS(b *testing.B) {
 	tr, np, _ := banditTrace(b, microN)
+	v := mustView(b, tr)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.IPS(tr, np, core.IPSOptions{}); err != nil {
+		if _, err := core.IPSViewCtx(bg, v, np, core.IPSOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -69,9 +72,10 @@ func BenchmarkEstimatorIPSParallel(b *testing.B)   { concurrently(b); benchIPS(b
 
 func benchDM(b *testing.B) {
 	tr, np, model := banditTrace(b, microN)
+	v := mustView(b, tr)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.DirectMethod(tr, np, model); err != nil {
+		if _, err := core.DirectMethodViewCtx(bg, v, np, model); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -81,14 +85,15 @@ func benchDM(b *testing.B) {
 func BenchmarkEstimatorDMSequential(b *testing.B) { sequentially(b); benchDM(b) }
 func BenchmarkEstimatorDMParallel(b *testing.B)   { concurrently(b); benchDM(b) }
 
-// benchBootstrap resamples a 5k-record trace 200 times, refitting the
-// IPS estimator per resample — the drevald per-request workload.
+// benchBootstrap resamples a 5k-record trace 200 times, evaluating the
+// IPS estimator per resample view.
 func benchBootstrap(b *testing.B) {
 	tr, np, _ := banditTrace(b, 5000)
+	v := mustView(b, tr)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ci, err := core.BootstrapSeeded(tr, func(t core.Trace[float64, int]) (core.Estimate, error) {
-			return core.IPS(t, np, core.IPSOptions{})
+		ci, _, err := core.Bootstrap(bg, v, func(ctx context.Context, rv *core.TraceView[float64, int]) (core.Estimate, error) {
+			return core.IPSViewCtx(ctx, rv, np, core.IPSOptions{})
 		}, 42, 200, 0.95)
 		if err != nil {
 			b.Fatal(err)

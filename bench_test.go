@@ -11,6 +11,8 @@
 package drnet_test
 
 import (
+	"context"
+	"fmt"
 	"testing"
 
 	"drnet/internal/abr"
@@ -265,14 +267,15 @@ func figure7bCorpus(b *testing.B) (*abr.Data, core.Policy[abr.Chunk, int], float
 func BenchmarkAblationSelfNorm(b *testing.B) {
 	d, np, truth := figure7bCorpus(b)
 	model := core.RewardFunc[abr.Chunk, int](d.ModelReward)
+	v := mustView(b, d.Trace)
 	var plain, selfNorm float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p, err := core.DoublyRobust(d.Trace, np, model, core.DROptions{Clip: 8})
+		p, err := core.DoublyRobustViewCtx(bg, v, np, model, core.DROptions{Clip: 8})
 		if err != nil {
 			b.Fatal(err)
 		}
-		s, err := core.DoublyRobust(d.Trace, np, model, core.DROptions{Clip: 8, SelfNormalize: true})
+		s, err := core.DoublyRobustViewCtx(bg, v, np, model, core.DROptions{Clip: 8, SelfNormalize: true})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -287,12 +290,13 @@ func BenchmarkAblationSelfNorm(b *testing.B) {
 func BenchmarkAblationClipping(b *testing.B) {
 	d, np, truth := figure7bCorpus(b)
 	model := core.RewardFunc[abr.Chunk, int](d.ModelReward)
+	v := mustView(b, d.Trace)
 	clips := []float64{0, 2, 5, 8, 15}
 	errs := make([]float64, len(clips))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for j, c := range clips {
-			dr, err := core.DoublyRobust(d.Trace, np, model, core.DROptions{Clip: c})
+			dr, err := core.DoublyRobustViewCtx(bg, v, np, model, core.DROptions{Clip: c})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -318,14 +322,15 @@ func formatClip(c float64) string {
 func BenchmarkAblationSwitchVsClip(b *testing.B) {
 	d, np, truth := figure7bCorpus(b)
 	model := core.RewardFunc[abr.Chunk, int](d.ModelReward)
+	v := mustView(b, d.Trace)
 	var clipErr, switchErr float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c, err := core.DoublyRobust(d.Trace, np, model, core.DROptions{Clip: 8})
+		c, err := core.DoublyRobustViewCtx(bg, v, np, model, core.DROptions{Clip: 8})
 		if err != nil {
 			b.Fatal(err)
 		}
-		s, err := core.SwitchDR(d.Trace, np, model, core.SwitchOptions{Tau: 8})
+		s, err := core.SwitchDRViewCtx(bg, v, np, model, core.SwitchOptions{Tau: 8})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -351,13 +356,17 @@ func BenchmarkAblationKNN(b *testing.B) {
 	truth := d.GroundTruth(np)
 	ks := []int{1, 3, 5, 10}
 	errs := make([]float64, len(ks))
+	v, err := core.NewTraceViewKeyedCtx(bg, d.Trace, func(c cfa.Client) string { return fmt.Sprint(c.Features) })
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for j, k := range ks {
 			fit := func(tr core.Trace[cfa.Client, cfa.Decision]) (core.RewardModel[cfa.Client, cfa.Decision], error) {
 				return (&cfa.Data{Trace: tr, World: d.World}).PerDecisionKNNModel(k)
 			}
-			dr, err := core.CrossFitDR(d.Trace, np, fit, 2, core.DROptions{})
+			dr, err := core.CrossFitDRViewCtx(bg, v, np, fit, 2, core.DROptions{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -372,6 +381,20 @@ func BenchmarkAblationKNN(b *testing.B) {
 // ---------------------------------------------------------------------
 // Estimator micro-benchmarks: records/op throughput of DM, IPS, DR and
 // ReplayDR on a large synthetic bandit trace.
+
+// bg is the context the benchmarks evaluate under.
+var bg = context.Background()
+
+// mustView builds the columnar view the estimators read, once per
+// benchmark and outside the timed loop.
+func mustView[C comparable, D comparable](b *testing.B, tr core.Trace[C, D]) *core.TraceView[C, D] {
+	b.Helper()
+	v, err := core.NewTraceViewCtx(bg, tr)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return v
+}
 
 func banditTrace(b *testing.B, n int) (core.Trace[float64, int], core.Policy[float64, int], core.RewardModel[float64, int]) {
 	b.Helper()
@@ -401,9 +424,10 @@ const microN = 100000
 
 func BenchmarkEstimatorDM(b *testing.B) {
 	tr, np, model := banditTrace(b, microN)
+	v := mustView(b, tr)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.DirectMethod(tr, np, model); err != nil {
+		if _, err := core.DirectMethodViewCtx(bg, v, np, model); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -412,9 +436,10 @@ func BenchmarkEstimatorDM(b *testing.B) {
 
 func BenchmarkEstimatorIPS(b *testing.B) {
 	tr, np, _ := banditTrace(b, microN)
+	v := mustView(b, tr)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.IPS(tr, np, core.IPSOptions{}); err != nil {
+		if _, err := core.IPSViewCtx(bg, v, np, core.IPSOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -423,9 +448,10 @@ func BenchmarkEstimatorIPS(b *testing.B) {
 
 func BenchmarkEstimatorDR(b *testing.B) {
 	tr, np, model := banditTrace(b, microN)
+	v := mustView(b, tr)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.DoublyRobust(tr, np, model, core.DROptions{}); err != nil {
+		if _, err := core.DoublyRobustViewCtx(bg, v, np, model, core.DROptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -438,7 +464,7 @@ func BenchmarkEstimatorReplayDR(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rng := mathx.NewRNG(int64(i))
-		if _, err := core.ReplayDR[float64, int](tr, target, model, rng); err != nil {
+		if _, err := core.ReplayDRCtx[float64, int](bg, tr, target, model, rng); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -27,6 +27,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -34,7 +35,6 @@ import (
 
 	"drnet/internal/biasobs"
 	"drnet/internal/core"
-	"drnet/internal/mathx"
 	"drnet/internal/obs"
 	"drnet/internal/traceio"
 	"drnet/internal/wideevent"
@@ -142,10 +142,11 @@ func run(tracePath, format, policySpec string, estProp bool, clip float64, selfN
 		return err
 	}
 	trace := traceio.ToCore(ft)
-	key := func(c traceio.FlatContext) string { return c.Key() }
+	key := traceio.FlatContext.Key
+	ctx := context.Background()
 
 	if estProp {
-		if err := core.EstimatePropensities(trace, key, 5, 1e-3); err != nil {
+		if err := core.EstimatePropensitiesCtx(ctx, trace, key, 5, 1e-3); err != nil {
 			return err
 		}
 	}
@@ -157,23 +158,25 @@ func run(tracePath, format, policySpec string, estProp bool, clip float64, selfN
 	if err != nil {
 		return err
 	}
+	// One view serves every estimator below, interned by the same key
+	// drevald uses, so both report the same numbers for the same trace.
+	view, err := core.NewTraceViewKeyedCtx(ctx, trace, key)
+	if err != nil {
+		return err
+	}
 
 	endDiag := evb.Phase("diagnose")
-	diag, err := core.Diagnose(trace, newPolicy)
+	diag, err := core.DiagnoseViewCtx(ctx, view, newPolicy)
 	endDiag()
 	if err != nil {
 		return err
 	}
 	evb.SetRegime(diag.ESS/float64(diag.N), diag.MaxWeight, diag.ZeroSupport)
-	fmt.Printf("trace: %d records, %d distinct decisions\n", len(trace), len(trace.DecisionCounts()))
-	fmt.Printf("old policy on-policy value: %.4f\n", trace.MeanReward())
+	fmt.Printf("trace: %d records, %d distinct decisions\n", view.Len(), view.NumDecisions())
+	fmt.Printf("old policy on-policy value: %.4f\n", view.MeanReward())
 	fmt.Printf("overlap: %s\n\n", diag)
 
 	if windows > 0 {
-		view, err := core.NewTraceViewKeyed(trace, key)
-		if err != nil {
-			return err
-		}
 		endBias := evb.Phase("bias_observatory")
 		report, err := biasobs.Compute(view, newPolicy, biasobs.Config{Windows: windows})
 		endBias()
@@ -187,18 +190,20 @@ func run(tracePath, format, policySpec string, estProp bool, clip float64, selfN
 		return nil
 	}
 
-	model := core.FitTable(trace, func(c traceio.FlatContext, d string) string {
-		return c.Key() + "|" + d
-	})
-	dm, err := core.DirectMethod(trace, newPolicy, model)
+	model, err := core.FitTableViewCtx(ctx, view)
 	if err != nil {
 		return err
 	}
-	ips, err := core.IPS(trace, newPolicy, core.IPSOptions{Clip: clip, SelfNormalize: selfNorm})
+	dm, err := core.DirectMethodViewCtx(ctx, view, newPolicy, model)
 	if err != nil {
 		return err
 	}
-	dr, err := core.DoublyRobust(trace, newPolicy, model, core.DROptions{Clip: clip, SelfNormalize: selfNorm})
+	ips, err := core.IPSViewCtx(ctx, view, newPolicy, core.IPSOptions{Clip: clip, SelfNormalize: selfNorm})
+	if err != nil {
+		return err
+	}
+	drOpts := core.DROptions{Clip: clip, SelfNormalize: selfNorm}
+	dr, err := core.DoublyRobustViewCtx(ctx, view, newPolicy, model, drOpts)
 	if err != nil {
 		return err
 	}
@@ -207,17 +212,15 @@ func run(tracePath, format, policySpec string, estProp bool, clip float64, selfN
 	fmt.Printf("DR:                 %s\n", dr)
 
 	if bootstrapB > 0 {
+		// The refit-DR bootstrap drevald serves: the table model is
+		// refit on every resample, resample i is drawn from seed shard i.
 		endBoot := evb.Phase("bootstrap")
-		rng := mathx.NewRNG(seed)
-		ci, err := core.Bootstrap(trace, func(t core.Trace[traceio.FlatContext, string]) (core.Estimate, error) {
-			m := core.FitTable(t, func(c traceio.FlatContext, d string) string { return c.Key() + "|" + d })
-			return core.DoublyRobust(t, newPolicy, m, core.DROptions{Clip: clip, SelfNormalize: selfNorm})
-		}, rng, bootstrapB, 0.95)
+		ci, stats, err := core.BootstrapDRViewSeededStatsCtx(ctx, view, newPolicy, drOpts, seed, bootstrapB, 0.95)
 		endBoot()
 		if err != nil {
 			return err
 		}
-		evb.SetBootstrap(bootstrapB, 0)
+		evb.SetBootstrap(stats.Resamples, stats.Skipped)
 		fmt.Printf("DR 95%% bootstrap CI: [%.4f, %.4f]\n", ci.Lo, ci.Hi)
 	}
 	return nil

@@ -50,11 +50,10 @@ func TestRunWritesVersionedReport(t *testing.T) {
 	if rep.SchemaVersion != benchkit.SchemaVersion || rep.Timestamp == "" || rep.Version == "" {
 		t.Fatalf("report header incomplete: %+v", rep)
 	}
-	// The acceptance shape: per-workload cells (4 estimators × columnar
-	// and slice variants, plus the dr events on/off pair) at >= 3 sizes
-	// × >= 2 worker counts, each with throughput and the latency
-	// percentiles.
-	if got, want := len(rep.Cells), 3*2*10; got != want {
+	// The acceptance shape: per-workload cells (4 estimators plus the
+	// dr events on/off pair) at >= 3 sizes × >= 2 worker counts, each
+	// with throughput and the latency percentiles.
+	if got, want := len(rep.Cells), 3*2*6; got != want {
 		t.Fatalf("%d cells, want %d", got, want)
 	}
 	for _, c := range rep.Cells {

@@ -138,12 +138,12 @@ type diagnoseResponse struct {
 // request body. It is independent of net/http so the fuzz harness can
 // drive it with arbitrary bytes: malformed input must produce an error,
 // never a panic.
-func parseEvalRequest(body io.Reader) (*evalRequest, core.Trace[traceio.FlatContext, string], core.Policy[traceio.FlatContext, string], error) {
+func parseEvalRequest(ctx context.Context, body io.Reader) (*evalRequest, core.Trace[traceio.FlatContext, string], core.Policy[traceio.FlatContext, string], error) {
 	req, err := decodeEvalBody(body)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	trace, policy, err := buildEvalInputs(req)
+	trace, policy, err := buildEvalInputs(ctx, req)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -189,7 +189,9 @@ func validateFiniteRecords(records []traceio.FlatRecord) error {
 
 // buildEvalInputs is the validation half of parseEvalRequest: it turns
 // a decoded batch request into a validated trace and parsed policy.
-func buildEvalInputs(req *evalRequest) (core.Trace[traceio.FlatContext, string], core.Policy[traceio.FlatContext, string], error) {
+// Only the end of ctx surfaces unwrapped (as ctx's error); every other
+// error is a bad request.
+func buildEvalInputs(ctx context.Context, req *evalRequest) (core.Trace[traceio.FlatContext, string], core.Policy[traceio.FlatContext, string], error) {
 	if len(req.Trace) == 0 {
 		return nil, nil, errors.New("empty trace")
 	}
@@ -204,9 +206,10 @@ func buildEvalInputs(req *evalRequest) (core.Trace[traceio.FlatContext, string],
 	}
 	trace := traceio.ToCore(traceio.FlatTrace{Records: req.Trace})
 	if req.Options.EstimatePropensities {
-		if err := core.EstimatePropensities(trace, func(c traceio.FlatContext) string {
-			return c.Key()
-		}, 5, 1e-3); err != nil {
+		if err := core.EstimatePropensitiesCtx(ctx, trace, traceio.FlatContext.Key, 5, 1e-3); err != nil {
+			if ctxErr := ctx.Err(); ctxErr != nil {
+				return nil, nil, ctxErr
+			}
 			return nil, nil, fmt.Errorf("propensity estimation: %v", err)
 		}
 	}
@@ -284,7 +287,11 @@ func (s *Server) prepare(w http.ResponseWriter, r *http.Request, run *evalRun, s
 		}
 		err = s.readStream(run, streamPhase)
 	} else {
-		trace, policy, verr := buildEvalInputs(run.req)
+		trace, policy, verr := buildEvalInputs(run.ctx, run.req)
+		if run.ctx.Err() != nil && errors.Is(verr, run.ctx.Err()) {
+			writeEvalError(w, verr)
+			return false
+		}
 		if verr != nil {
 			httpError(w, http.StatusBadRequest, verr.Error())
 			return false

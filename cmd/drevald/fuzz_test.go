@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"testing"
 
@@ -35,7 +36,7 @@ func FuzzParseEvalRequest(f *testing.F) {
 	f.Add([]byte(`{"trace":[{"features":[1e309],"decision":"a","reward":1,"propensity":0.5}],"policy":"constant:a"}`))
 	f.Add([]byte(``))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		req, trace, policy, err := parseEvalRequest(bytes.NewReader(data))
+		req, trace, policy, err := parseEvalRequest(context.Background(), bytes.NewReader(data))
 		if err != nil {
 			if req != nil || trace != nil || policy != nil {
 				t.Fatal("non-nil results alongside an error")

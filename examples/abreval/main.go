@@ -15,6 +15,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	"drnet/internal/abr"
@@ -36,16 +37,19 @@ func main() {
 	fmt.Printf("bitrate usage under BBA: %v\n\n", counts)
 
 	newPolicy := data.NewPolicy(0)
-	diag, err := core.Diagnose(data.Trace, newPolicy)
+	ctx := context.Background()
+	view, err := core.NewTraceViewCtx(ctx, data.Trace)
+	must(err)
+	diag, err := core.DiagnoseViewCtx(ctx, view, newPolicy)
 	must(err)
 	fmt.Printf("overlap with the MPC policy: %s\n\n", diag)
 
 	truth := data.GroundTruth(newPolicy)
 	model := core.RewardFunc[abr.Chunk, int](data.ModelReward)
 
-	dm, err := core.DirectMethod(data.Trace, newPolicy, model)
+	dm, err := core.DirectMethodViewCtx(ctx, view, newPolicy, model)
 	must(err)
-	dr, err := core.DoublyRobust(data.Trace, newPolicy, model, core.DROptions{Clip: 8})
+	dr, err := core.DoublyRobustViewCtx(ctx, view, newPolicy, model, core.DROptions{Clip: 8})
 	must(err)
 
 	fmt.Printf("ground truth per-chunk QoE of MPC: %8.4f\n", truth)

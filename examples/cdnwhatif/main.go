@@ -14,6 +14,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	"drnet/internal/cdnsim"
@@ -48,9 +49,12 @@ func main() {
 	// FE-1/BE-2) three ways.
 	np := world.NewPolicy()
 	truth := data.GroundTruth(np)
-	dm, err := core.DirectMethod(data.Trace, np, model)
+	ctx := context.Background()
+	view, err := core.NewTraceViewCtx(ctx, data.Trace)
 	must(err)
-	dr, err := core.DoublyRobust(data.Trace, np, model, core.DROptions{})
+	dm, err := core.DirectMethodViewCtx(ctx, view, np, model)
+	must(err)
+	dr, err := core.DoublyRobustViewCtx(ctx, view, np, model, core.DROptions{})
 	must(err)
 
 	fmt.Printf("expected response time of the new configuration policy:\n")

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	"drnet/internal/cfa"
@@ -44,7 +45,10 @@ func main() {
 	model, err := (&cfa.Data{Trace: fitHalf, World: data.World}).PerDecisionKNNModel(3)
 	must(err)
 
-	ranked, err := core.SelectBest(evalHalf, model, candidates, rng, core.SelectOptions{
+	ctx := context.Background()
+	view, err := core.NewTraceViewKeyedCtx(ctx, evalHalf, clientKey)
+	must(err)
+	ranked, err := core.SelectBest(ctx, view, model, candidates, 17, core.SelectOptions{
 		Bootstrap: 200,
 	})
 	must(err)
@@ -61,6 +65,12 @@ func main() {
 	} else {
 		fmt.Printf("\nclear winner: deploy %q\n", ranked[0].Candidate.Name)
 	}
+}
+
+// clientKey interns clients by their feature vector, which is all the
+// candidate policies and the k-NN model look at.
+func clientKey(c cfa.Client) string {
+	return fmt.Sprint(c.Features)
 }
 
 func must(err error) {

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	"drnet/internal/core"
@@ -51,8 +52,13 @@ func main() {
 		Epsilon:   0.1,
 	}
 
+	// Every estimator reads the trace's columnar view.
+	ctx := context.Background()
+	view, err := core.NewTraceViewCtx(ctx, trace)
+	must(err)
+
 	// Always check overlap before trusting any off-policy estimate.
-	diag, err := core.Diagnose(trace, newPolicy)
+	diag, err := core.DiagnoseViewCtx(ctx, view, newPolicy)
 	must(err)
 	fmt.Printf("overlap diagnostics: %s\n\n", diag)
 
@@ -62,11 +68,11 @@ func main() {
 		return trueReward(x, d) + 0.25
 	})
 
-	dm, err := core.DirectMethod(trace, newPolicy, model)
+	dm, err := core.DirectMethodViewCtx(ctx, view, newPolicy, model)
 	must(err)
-	ips, err := core.IPS(trace, newPolicy, core.IPSOptions{})
+	ips, err := core.IPSViewCtx(ctx, view, newPolicy, core.IPSOptions{})
 	must(err)
-	dr, err := core.DoublyRobust(trace, newPolicy, model, core.DROptions{})
+	dr, err := core.DoublyRobustViewCtx(ctx, view, newPolicy, model, core.DROptions{})
 	must(err)
 
 	truth := core.TrueValue(clients, newPolicy, trueReward)
@@ -75,10 +81,11 @@ func main() {
 	fmt.Printf("IPS:                %s   (error %.1f%%)\n", ips, 100*mathx.RelativeError(truth, ips.Value))
 	fmt.Printf("DR:                 %s   (error %.1f%%)\n", dr, 100*mathx.RelativeError(truth, dr.Value))
 
-	// Bootstrap a confidence interval for the DR estimate.
-	ci, err := core.Bootstrap(trace, func(t core.Trace[float64, int]) (core.Estimate, error) {
-		return core.DoublyRobust(t, newPolicy, model, core.DROptions{})
-	}, rng, 300, 0.95)
+	// Bootstrap a confidence interval for the DR estimate: 300 seeded
+	// resamples, each evaluated as a view of the resampled records.
+	ci, _, err := core.Bootstrap(ctx, view, func(ctx context.Context, rv *core.TraceView[float64, int]) (core.Estimate, error) {
+		return core.DoublyRobustViewCtx(ctx, rv, newPolicy, model, core.DROptions{})
+	}, 7, 300, 0.95)
 	must(err)
 	fmt.Printf("DR 95%% bootstrap CI: [%.4f, %.4f]\n", ci.Lo, ci.Hi)
 }

@@ -15,6 +15,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	"drnet/internal/core"
@@ -55,11 +56,14 @@ func main() {
 
 	via := data.VIAModel()
 	full := data.FullModel()
-	dmVIA, err := core.DirectMethod(data.Trace, np, via)
+	ctx := context.Background()
+	view, err := core.NewTraceViewCtx(ctx, data.Trace)
 	must(err)
-	drVIA, err := core.DoublyRobust(data.Trace, np, via, core.DROptions{})
+	dmVIA, err := core.DirectMethodViewCtx(ctx, view, np, via)
 	must(err)
-	dmFull, err := core.DirectMethod(data.Trace, np, full)
+	drVIA, err := core.DoublyRobustViewCtx(ctx, view, np, via, core.DROptions{})
+	must(err)
+	dmFull, err := core.DirectMethodViewCtx(ctx, view, np, full)
 	must(err)
 
 	fmt.Printf("expected quality of 'relay everything':\n")

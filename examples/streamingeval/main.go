@@ -1,11 +1,13 @@
 // Streaming evaluation: watch a DR estimate converge as records arrive.
 //
 // A measurement pipeline rarely hands the evaluator a finished trace;
-// records trickle in session by session. core.StreamingDR folds each
-// record into the doubly robust estimate in O(1), so a dashboard can
-// show the candidate policy's estimated value — with a standard error —
-// at any moment, and an operator can stop collecting as soon as the
-// interval is tight enough to act.
+// records trickle in session by session. A core.ViewBuilder appends
+// each record to a columnar store, and a core.StreamEval folds the new
+// records into running doubly robust sums, so a dashboard can show the
+// candidate policy's estimated value — with a standard error — at any
+// moment in O(1), and an operator can stop collecting as soon as the
+// interval is tight enough to act. drevald's /ingest serves streamed
+// /evaluate requests the same way.
 //
 // Run with: go run ./examples/streamingeval
 package main
@@ -39,7 +41,8 @@ func main() {
 		return trueReward(x, d) + 0.3
 	})
 
-	acc := core.NewStreamingDR[float64, int](newPolicy, model)
+	records := core.NewViewBuilder[float64, int]()
+	acc := core.NewStreamEval[float64, int](newPolicy, model, core.StreamOptions{})
 	var truth mathx.Welford // exact per-record value of the new policy
 
 	fmt.Println("records    DR estimate    stderr     true value so far")
@@ -53,7 +56,7 @@ func main() {
 			probs[j] = w.Prob
 		}
 		pick := dist[rng.Categorical(probs)]
-		err := acc.Offer(core.Record[float64, int]{
+		err := records.Append(core.Record[float64, int]{
 			Context:    x,
 			Decision:   pick.Decision,
 			Reward:     trueReward(x, pick.Decision) + rng.Normal(0, 0.3),
@@ -70,12 +73,16 @@ func main() {
 		truth.Add(v)
 
 		if (i+1)%(total/8) == 0 {
-			est, err := acc.Estimate()
+			// Fold the records that arrived since the last report.
+			if err := acc.Apply(records.Snapshot(), acc.N()); err != nil {
+				panic(err)
+			}
+			est, err := acc.Estimates()
 			if err != nil {
 				panic(err)
 			}
 			fmt.Printf("%7d    %8.4f     ±%.4f     %8.4f\n",
-				est.N, est.Value, est.StdErr, truth.Mean())
+				est.DR.N, est.DR.Value, est.DR.StdErr, truth.Mean())
 		}
 	}
 }

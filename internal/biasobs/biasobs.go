@@ -1,5 +1,5 @@
 // Package biasobs is the bias observatory: windowed estimator-health
-// diagnostics over a columnar trace. Where core.Diagnose answers "can
+// diagnostics over a columnar trace. Where core.DiagnoseViewCtx answers "can
 // this trace support that policy" once, for the whole trace, biasobs
 // slices the trace along its time axis into W windows and tracks the
 // same bias indicators — effective sample size, importance-weight
@@ -270,7 +270,7 @@ func Compute[C any, D comparable](v *core.TraceView[C, D], newPolicy core.Policy
 // pure function of (v, newPolicy, cfg) — bit-identical at every
 // worker count.
 //
-// Weight semantics mirror core.DiagnoseCtx: when a distribution lists
+// Weight semantics mirror core.DiagnoseViewCtx: when a distribution lists
 // the same decision more than once, the last entry wins.
 func ComputeCtx[C any, D comparable](ctx context.Context, v *core.TraceView[C, D], newPolicy core.Policy[C, D], cfg Config) (*Report, error) {
 	n := v.Len()

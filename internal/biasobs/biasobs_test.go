@@ -39,7 +39,7 @@ func uniformAB() core.Policy[int, string] {
 
 func mustView(t *testing.T, tr core.Trace[int, string]) *core.TraceView[int, string] {
 	t.Helper()
-	v, err := core.NewTraceView(tr)
+	v, err := core.NewTraceViewCtx(context.Background(), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestComputeZeroSupportGradesWatch(t *testing.T) {
 
 func TestSingleWindowMatchesDiagnose(t *testing.T) {
 	// With one window the observatory's overlap stats must agree with
-	// core.Diagnose bit for bit (same accumulation order).
+	// core.DiagnoseViewCtx bit for bit (same accumulation order).
 	tr := stationaryTrace(500, 3, 0.6, 0.1, 9)
 	// Make the weights non-trivial: epsilon-greedy target.
 	pol := core.EpsilonGreedyPolicy[int, string]{
@@ -186,7 +186,7 @@ func TestSingleWindowMatchesDiagnose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := core.Diagnose(tr, pol)
+	d, err := core.DiagnoseViewCtx(context.Background(), v, pol)
 	if err != nil {
 		t.Fatal(err)
 	}

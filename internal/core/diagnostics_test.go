@@ -1,10 +1,9 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"testing"
-
-	"drnet/internal/mathx"
 )
 
 func TestDiagnoseIdenticalPolicies(t *testing.T) {
@@ -12,7 +11,7 @@ func TestDiagnoseIdenticalPolicies(t *testing.T) {
 	old := banditOldPolicy(0.4)
 	ctxs := b.contexts(500)
 	tr := CollectTrace(ctxs, old, b.drawReward, b.rng)
-	d, err := Diagnose(tr, old)
+	d, err := diagnoseOf(tr, old)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +33,7 @@ func TestDiagnoseDisjointPolicies(t *testing.T) {
 	ctxs := b.contexts(100)
 	tr := CollectTrace(ctxs, old, b.drawReward, b.rng)
 	np := DeterministicPolicy[float64, int]{Choose: func(float64) int { return 2 }}
-	d, err := Diagnose(tr, np)
+	d, err := diagnoseOf(tr, np)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +46,7 @@ func TestDiagnoseLowOverlapESS(t *testing.T) {
 	b := newTestBandit(33, 0.1)
 	tr, _ := collectBanditTrace(b, 400, 0.1) // mostly d=0
 	np := banditNewPolicy(0.1)               // mostly d=2
-	d, err := Diagnose(tr, np)
+	d, err := diagnoseOf(tr, np)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,11 +60,11 @@ func TestDiagnoseLowOverlapESS(t *testing.T) {
 
 func TestDiagnoseErrors(t *testing.T) {
 	var empty Trace[float64, int]
-	if _, err := Diagnose(empty, banditNewPolicy(0.1)); !errors.Is(err, ErrEmptyTrace) {
+	if _, err := diagnoseOf(empty, banditNewPolicy(0.1)); !errors.Is(err, ErrEmptyTrace) {
 		t.Fatal("expected ErrEmptyTrace")
 	}
 	bad := Trace[float64, int]{{Context: 0, Decision: 0, Propensity: 0}}
-	if _, err := Diagnose(bad, banditNewPolicy(0.1)); err == nil {
+	if _, err := diagnoseOf(bad, banditNewPolicy(0.1)); err == nil {
 		t.Fatal("expected validation error")
 	}
 }
@@ -75,10 +74,9 @@ func TestBootstrapCoversTruth(t *testing.T) {
 	tr, ctxs := collectBanditTrace(b, 800, 0.5)
 	np := banditNewPolicy(0.2)
 	truth := TrueValue(ctxs, np, b.trueReward)
-	rng := mathx.NewRNG(77)
-	ci, err := Bootstrap(tr, func(t2 Trace[float64, int]) (Estimate, error) {
-		return DoublyRobust(t2, np, RewardFunc[float64, int](b.trueReward), DROptions{})
-	}, rng, 300, 0.95)
+	ci, _, err := Bootstrap(bg, mustView(t, tr), func(ctx context.Context, rv *TraceView[float64, int]) (Estimate, error) {
+		return DoublyRobustViewCtx(ctx, rv, np, RewardFunc[float64, int](b.trueReward), DROptions{})
+	}, 77, 300, 0.95)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,19 +89,18 @@ func TestBootstrapCoversTruth(t *testing.T) {
 }
 
 func TestBootstrapErrors(t *testing.T) {
-	rng := mathx.NewRNG(1)
-	var empty Trace[float64, int]
-	ok := func(Trace[float64, int]) (Estimate, error) { return Estimate{}, nil }
-	if _, err := Bootstrap(empty, ok, rng, 10, 0.95); !errors.Is(err, ErrEmptyTrace) {
+	empty := mustView(t, Trace[float64, int]{})
+	ok := func(context.Context, *TraceView[float64, int]) (Estimate, error) { return Estimate{}, nil }
+	if _, _, err := Bootstrap(bg, empty, ok, 1, 10, 0.95); !errors.Is(err, ErrEmptyTrace) {
 		t.Fatal("expected ErrEmptyTrace")
 	}
-	tr := Trace[float64, int]{{Propensity: 1}}
-	if _, err := Bootstrap(tr, ok, rng, 10, 1.5); err == nil {
+	v := mustView(t, Trace[float64, int]{{Propensity: 1}})
+	if _, _, err := Bootstrap(bg, v, ok, 1, 10, 1.5); err == nil {
 		t.Fatal("expected level error")
 	}
-	failing := func(Trace[float64, int]) (Estimate, error) { return Estimate{}, ErrNoMatches }
-	if _, err := Bootstrap(tr, failing, rng, 10, 0.95); err == nil {
-		t.Fatal("expected all-resamples-failed error")
+	failing := func(context.Context, *TraceView[float64, int]) (Estimate, error) { return Estimate{}, ErrNoMatches }
+	if _, stats, err := Bootstrap(bg, v, failing, 1, 10, 0.95); !errors.Is(err, ErrNoMatches) || stats.Skipped != 10 {
+		t.Fatalf("expected all-resamples-failed error, got %v (stats %+v)", err, stats)
 	}
 }
 

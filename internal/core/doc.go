@@ -6,14 +6,20 @@
 //
 //   - Record / Trace: logged tuples (context, decision, reward,
 //     propensity) collected while an old policy µ_old was running.
+//   - TraceView: the columnar, interned form of a Trace that every
+//     estimator reads (NewTraceViewCtx, NewTraceViewKeyedCtx, or the
+//     appendable ViewBuilder for streamed records).
 //   - Policy: a stochastic mapping from client contexts to decisions.
 //   - RewardModel: a model r̂(c, d) predicting the reward of any
 //     decision for any context (the ingredient of the Direct Method).
-//   - Estimators: DirectMethod (DM), IPS (inverse propensity scoring,
-//     with optional clipping and self-normalization), and DoublyRobust
-//     (DR), which combines DM and IPS and is accurate whenever at least
-//     one of the two ingredients is accurate ("second-order bias").
-//   - ReplayDR: the paper's §4.2 extension of DR to non-stationary
+//   - Estimators: DirectMethodViewCtx (DM), IPSViewCtx (inverse
+//     propensity scoring, with optional clipping and
+//     self-normalization), and DoublyRobustViewCtx (DR), which combines
+//     DM and IPS and is accurate whenever at least one of the two
+//     ingredients is accurate ("second-order bias"); plus SwitchDR,
+//     exact-match and cross-fitted DR variants and DiagnoseViewCtx's
+//     overlap diagnostics (§4.1).
+//   - ReplayDRCtx: the paper's §4.2 extension of DR to non-stationary
 //     (history-dependent) target policies via rejection-sampling replay.
 //
 // Estimators are generic over the context type C and the (comparable)
@@ -21,6 +27,7 @@
 // policies, CDN configurations, relay selections, and server choices.
 //
 // All estimators return an Estimate carrying the point value, a plug-in
-// standard error, and importance-weight diagnostics; bootstrap
-// confidence intervals are available via Bootstrap.
+// standard error, and importance-weight diagnostics; seeded bootstrap
+// confidence intervals are available via Bootstrap, and StreamEval
+// answers the same questions in O(1) as records stream in.
 package core

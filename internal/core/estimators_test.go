@@ -62,27 +62,27 @@ func TestEmptyTraceErrors(t *testing.T) {
 	var tr Trace[float64, int]
 	np := banditNewPolicy(0.1)
 	model := ConstantModel[float64, int]{}
-	if _, err := DirectMethod(tr, np, model); !errors.Is(err, ErrEmptyTrace) {
+	if _, err := dmOf(tr, np, model); !errors.Is(err, ErrEmptyTrace) {
 		t.Fatal("DM should reject empty trace")
 	}
-	if _, err := IPS(tr, np, IPSOptions{}); !errors.Is(err, ErrEmptyTrace) {
+	if _, err := ipsOf(tr, np, IPSOptions{}); !errors.Is(err, ErrEmptyTrace) {
 		t.Fatal("IPS should reject empty trace")
 	}
-	if _, err := DoublyRobust(tr, np, model, DROptions{}); !errors.Is(err, ErrEmptyTrace) {
+	if _, err := drOf(tr, np, model, DROptions{}); !errors.Is(err, ErrEmptyTrace) {
 		t.Fatal("DR should reject empty trace")
 	}
-	if _, err := MatchedRewards(tr, np); !errors.Is(err, ErrEmptyTrace) {
+	if _, err := matchedOf(tr, np); !errors.Is(err, ErrEmptyTrace) {
 		t.Fatal("MatchedRewards should reject empty trace")
 	}
 }
 
 func TestInvalidPropensityRejected(t *testing.T) {
 	tr := Trace[float64, int]{{Context: 0.5, Decision: 0, Reward: 1, Propensity: 0}}
-	if _, err := IPS(tr, banditNewPolicy(0.1), IPSOptions{}); err == nil {
+	if _, err := ipsOf(tr, banditNewPolicy(0.1), IPSOptions{}); err == nil {
 		t.Fatal("IPS should reject zero propensity")
 	}
 	tr[0].Propensity = 1.5
-	if _, err := DoublyRobust(tr, banditNewPolicy(0.1), ConstantModel[float64, int]{}, DROptions{}); err == nil {
+	if _, err := drOf(tr, banditNewPolicy(0.1), ConstantModel[float64, int]{}, DROptions{}); err == nil {
 		t.Fatal("DR should reject propensity > 1")
 	}
 	tr[0].Propensity = 0.5
@@ -97,7 +97,7 @@ func TestDMExactWithTrueModel(t *testing.T) {
 	tr, ctxs := collectBanditTrace(b, 2000, 0.3)
 	np := banditNewPolicy(0.1)
 	model := RewardFunc[float64, int](b.trueReward)
-	est, err := DirectMethod(tr, np, model)
+	est, err := dmOf(tr, np, model)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestDMBiasedWithWrongModel(t *testing.T) {
 	tr, ctxs := collectBanditTrace(b, 2000, 0.3)
 	np := banditNewPolicy(0.1)
 	truth := TrueValue(ctxs, np, b.trueReward)
-	est, err := DirectMethod(tr, np, ConstantModel[float64, int]{Value: 0})
+	est, err := dmOf(tr, np, ConstantModel[float64, int]{Value: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestIPSUnbiased(t *testing.T) {
 	for run := 0; run < 60; run++ {
 		b := newTestBandit(int64(100+run), 0.1)
 		tr, ctxs := collectBanditTrace(b, 500, 0.5)
-		est, err := IPS(tr, np, IPSOptions{})
+		est, err := ipsOf(tr, np, IPSOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -152,7 +152,7 @@ func TestIPSHighVarianceUnderLowRandomness(t *testing.T) {
 		for run := 0; run < 40; run++ {
 			b := newTestBandit(int64(1000+run), 0.1)
 			tr, _ := collectBanditTrace(b, 300, oldEps)
-			est, err := IPS(tr, np, IPSOptions{})
+			est, err := ipsOf(tr, np, IPSOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -171,11 +171,11 @@ func TestIPSClippingReducesMaxWeight(t *testing.T) {
 	b := newTestBandit(3, 0.1)
 	tr, _ := collectBanditTrace(b, 500, 0.05)
 	np := banditNewPolicy(0.05)
-	unclipped, err := IPS(tr, np, IPSOptions{})
+	unclipped, err := ipsOf(tr, np, IPSOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	clipped, err := IPS(tr, np, IPSOptions{Clip: 2})
+	clipped, err := ipsOf(tr, np, IPSOptions{Clip: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestSNIPSWithinRewardRange(t *testing.T) {
 	b := newTestBandit(4, 0.1)
 	tr, _ := collectBanditTrace(b, 200, 0.05)
 	np := banditNewPolicy(0.05)
-	est, err := IPS(tr, np, IPSOptions{SelfNormalize: true})
+	est, err := ipsOf(tr, np, IPSOptions{SelfNormalize: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestDRExactWhenModelExact(t *testing.T) {
 	tr, ctxs := collectBanditTrace(b, 2000, 0.3)
 	np := banditNewPolicy(0.1)
 	model := RewardFunc[float64, int](b.trueReward)
-	est, err := DoublyRobust(tr, np, model, DROptions{})
+	est, err := drOf(tr, np, model, DROptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,11 +234,11 @@ func TestDREqualsIPSWhenPoliciesAgree(t *testing.T) {
 	ctxs := b.contexts(300)
 	tr := CollectTrace(ctxs, shared, b.drawReward, b.rng)
 	model := ConstantModel[float64, int]{Value: 42} // arbitrary, should cancel
-	dr, err := DoublyRobust(tr, shared, model, DROptions{})
+	dr, err := drOf(tr, shared, model, DROptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ips, err := IPS(tr, shared, IPSOptions{})
+	ips, err := ipsOf(tr, shared, IPSOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +255,7 @@ func TestDRRobustToWrongModel(t *testing.T) {
 	for run := 0; run < 40; run++ {
 		b := newTestBandit(int64(200+run), 0.1)
 		tr, ctxs := collectBanditTrace(b, 800, 0.5)
-		est, err := DoublyRobust(tr, np, ConstantModel[float64, int]{Value: -3}, DROptions{})
+		est, err := drOf(tr, np, ConstantModel[float64, int]{Value: -3}, DROptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -277,7 +277,7 @@ func TestDRRobustToWrongPropensities(t *testing.T) {
 		for i := range tr {
 			tr[i].Propensity = mathx.Clamp(tr[i].Propensity*2.5, 0.01, 1) // corrupt
 		}
-		est, err := DoublyRobust(tr, np, RewardFunc[float64, int](func(c float64, d int) float64 {
+		est, err := drOf(tr, np, RewardFunc[float64, int](func(c float64, d int) float64 {
 			return c * float64(d+1)
 		}), DROptions{})
 		if err != nil {
@@ -302,15 +302,15 @@ func TestDRBeatsDMAndIPSWithNoisyModel(t *testing.T) {
 		b := newTestBandit(int64(400+run), 0.3)
 		tr, ctxs := collectBanditTrace(b, 250, 0.15)
 		truth := TrueValue(ctxs, np, b.trueReward)
-		dm, err := DirectMethod(tr, np, biasedModel)
+		dm, err := dmOf(tr, np, biasedModel)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ips, err := IPS(tr, np, IPSOptions{})
+		ips, err := ipsOf(tr, np, IPSOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		dr, err := DoublyRobust(tr, np, biasedModel, DROptions{})
+		dr, err := drOf(tr, np, biasedModel, DROptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -331,7 +331,7 @@ func TestMatchedRewards(t *testing.T) {
 	b := newTestBandit(7, 0)
 	tr, _ := collectBanditTrace(b, 400, 1.0) // uniform logging
 	np := DeterministicPolicy[float64, int]{Choose: func(float64) int { return 2 }}
-	est, err := MatchedRewards(tr, np)
+	est, err := matchedOf(tr, np)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,7 +345,7 @@ func TestMatchedRewards(t *testing.T) {
 	}
 	// A new policy that picks a decision the old never logged.
 	never := DeterministicPolicy[float64, int]{Choose: func(float64) int { return 9 }}
-	if _, err := MatchedRewards(tr, never); !errors.Is(err, ErrNoMatches) {
+	if _, err := matchedOf(tr, never); !errors.Is(err, ErrNoMatches) {
 		t.Fatal("expected ErrNoMatches")
 	}
 }
@@ -362,10 +362,10 @@ func TestDMDistributionValidation(t *testing.T) {
 	bad := FuncPolicy[float64, int](func(float64) []Weighted[int] {
 		return []Weighted[int]{{Decision: 0, Prob: 0.4}} // sums to 0.4
 	})
-	if _, err := DirectMethod(tr, bad, ConstantModel[float64, int]{}); err == nil {
+	if _, err := dmOf(tr, bad, ConstantModel[float64, int]{}); err == nil {
 		t.Fatal("DM should reject an improper distribution")
 	}
-	if _, err := DoublyRobust(tr, bad, ConstantModel[float64, int]{}, DROptions{}); err == nil {
+	if _, err := drOf(tr, bad, ConstantModel[float64, int]{}, DROptions{}); err == nil {
 		t.Fatal("DR should reject an improper distribution")
 	}
 }

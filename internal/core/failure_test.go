@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -19,10 +20,10 @@ func TestEstimatorsSurviveExtremeRewardOutliers(t *testing.T) {
 	np := banditNewPolicy(0.2)
 	model := RewardFunc[float64, int](b.trueReward)
 	for name, f := range map[string]func() (Estimate, error){
-		"DM":  func() (Estimate, error) { return DirectMethod(tr, np, model) },
-		"IPS": func() (Estimate, error) { return IPS(tr, np, IPSOptions{}) },
-		"DR":  func() (Estimate, error) { return DoublyRobust(tr, np, model, DROptions{}) },
-		"SW":  func() (Estimate, error) { return SwitchDR(tr, np, model, SwitchOptions{}) },
+		"DM":  func() (Estimate, error) { return dmOf(tr, np, model) },
+		"IPS": func() (Estimate, error) { return ipsOf(tr, np, IPSOptions{}) },
+		"DR":  func() (Estimate, error) { return drOf(tr, np, model, DROptions{}) },
+		"SW":  func() (Estimate, error) { return switchOf(tr, np, model, SwitchOptions{}) },
 	} {
 		est, err := f()
 		if err != nil {
@@ -34,7 +35,7 @@ func TestEstimatorsSurviveExtremeRewardOutliers(t *testing.T) {
 	}
 	// Self-normalized IPS stays inside the reward range even with the
 	// outliers present (they bound the range).
-	sn, err := IPS(tr, np, IPSOptions{SelfNormalize: true})
+	sn, err := ipsOf(tr, np, IPSOptions{SelfNormalize: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +54,7 @@ func TestEstimatorsSurvivePropensityFloor(t *testing.T) {
 		tr[i].Propensity = 1e-9
 	}
 	np := banditNewPolicy(0.2)
-	est, err := IPS(tr, np, IPSOptions{})
+	est, err := ipsOf(tr, np, IPSOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +64,7 @@ func TestEstimatorsSurvivePropensityFloor(t *testing.T) {
 	if est.MaxWeight < 1e6 {
 		t.Fatalf("expected exploded weights, got max %g", est.MaxWeight)
 	}
-	diag, err := Diagnose(tr, np)
+	diag, err := diagnoseOf(tr, np)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +84,7 @@ func TestNaNModelIsSurfacedNotHidden(t *testing.T) {
 	tr, _ := collectBanditTrace(b, 50, 0.5)
 	np := banditNewPolicy(0.2)
 	bad := RewardFunc[float64, int](func(float64, int) float64 { return math.NaN() })
-	est, err := DirectMethod(tr, np, bad)
+	est, err := dmOf(tr, np, bad)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,11 +112,11 @@ func TestCrossFitSurvivesPathologicalFoldOrder(t *testing.T) {
 	}
 	np := banditNewPolicy(0.2)
 	fit := func(part Trace[float64, int]) (RewardModel[float64, int], error) {
-		return FitTable(part, func(c float64, d int) string {
+		return fitTable(part, func(c float64, d int) string {
 			return string(rune('0' + d))
 		}), nil
 	}
-	est, err := CrossFitDR(sorted, np, fit, 2, DROptions{})
+	est, err := crossFitOf(sorted, np, fit, 2, DROptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +134,7 @@ func TestReplaySurvivesAdversarialHistoryPolicy(t *testing.T) {
 	bad := HistoryFuncPolicy[float64, int](func(Trace[float64, int], float64) []Weighted[int] {
 		return []Weighted[int]{{Decision: 0, Prob: 0.3}} // sums to 0.3
 	})
-	if _, err := ReplayDR[float64, int](tr, bad, ConstantModel[float64, int]{}, rng); err == nil {
+	if _, err := ReplayDRCtx[float64, int](bg, tr, bad, ConstantModel[float64, int]{}, rng); err == nil {
 		t.Fatal("invalid distribution should error")
 	}
 }
@@ -143,10 +144,9 @@ func TestBootstrapSurvivesDegenerateTrace(t *testing.T) {
 	// must collapse rather than error.
 	tr := Trace[float64, int]{{Context: 0.5, Decision: 2, Reward: 1.5, Propensity: 0.5}}
 	np := banditNewPolicy(0.2)
-	rng := mathx.NewRNG(2)
-	ci, err := Bootstrap(tr, func(t2 Trace[float64, int]) (Estimate, error) {
-		return IPS(t2, np, IPSOptions{})
-	}, rng, 50, 0.95)
+	ci, _, err := Bootstrap(bg, mustView(t, tr), func(ctx context.Context, rv *TraceView[float64, int]) (Estimate, error) {
+		return IPSViewCtx(ctx, rv, np, IPSOptions{})
+	}, 2, 50, 0.95)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,13 +159,12 @@ func TestSelectBestSurvivesTiedCandidates(t *testing.T) {
 	// Identical candidates: ranking must be stable and complete.
 	b := newTestBandit(506, 0.1)
 	tr, _ := collectBanditTrace(b, 300, 0.5)
-	rng := mathx.NewRNG(3)
 	same := banditNewPolicy(0.2)
 	cands := []Candidate[float64, int]{
 		{Name: "a", Policy: same},
 		{Name: "b", Policy: same},
 	}
-	ranked, err := SelectBest(tr, RewardFunc[float64, int](b.trueReward), cands, rng, SelectOptions{Bootstrap: 30})
+	ranked, err := SelectBest(bg, mustView(t, tr), RewardFunc[float64, int](b.trueReward), cands, 3, SelectOptions{Bootstrap: 30})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,12 +35,12 @@ func TestDRCollapsesToDMWhenResidualsZeroProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		tr, np, base := randomValidTrace(seed)
 		model := memorizingModel(tr, base.Predict)
-		dm, err := DirectMethod(tr, np, model)
+		dm, err := dmOf(tr, np, model)
 		if err != nil {
 			return false
 		}
 		for _, selfNorm := range []bool{false, true} {
-			dr, err := DoublyRobust(tr, np, model, DROptions{SelfNormalize: selfNorm})
+			dr, err := drOf(tr, np, model, DROptions{SelfNormalize: selfNorm})
 			if err != nil {
 				return false
 			}
@@ -62,11 +62,11 @@ func TestDRCollapsesToIPSWhenModelZeroProperty(t *testing.T) {
 	zero := RewardFunc[float64, int](func(float64, int) float64 { return 0 })
 	f := func(seed int64) bool {
 		tr, np, _ := randomValidTrace(seed)
-		ips, err := IPS(tr, np, IPSOptions{})
+		ips, err := ipsOf(tr, np, IPSOptions{})
 		if err != nil {
 			return false
 		}
-		dr, err := DoublyRobust(tr, np, zero, DROptions{})
+		dr, err := drOf(tr, np, zero, DROptions{})
 		if err != nil {
 			return false
 		}
@@ -82,7 +82,7 @@ func TestDRCollapsesToIPSWhenModelZeroProperty(t *testing.T) {
 func TestIPSEqualsHandComputedWeightedMeanProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		tr, np, _ := randomValidTrace(seed)
-		got, err := IPS(tr, np, IPSOptions{})
+		got, err := ipsOf(tr, np, IPSOptions{})
 		if err != nil {
 			return false
 		}
@@ -105,12 +105,12 @@ func TestESSNeverExceedsNProperty(t *testing.T) {
 		tr, np, model := randomValidTrace(seed)
 		n := float64(len(tr))
 		ests := []func() (Estimate, error){
-			func() (Estimate, error) { return DirectMethod(tr, np, model) },
-			func() (Estimate, error) { return IPS(tr, np, IPSOptions{}) },
-			func() (Estimate, error) { return IPS(tr, np, IPSOptions{Clip: 2}) },
-			func() (Estimate, error) { return IPS(tr, np, IPSOptions{SelfNormalize: true}) },
-			func() (Estimate, error) { return DoublyRobust(tr, np, model, DROptions{}) },
-			func() (Estimate, error) { return DoublyRobust(tr, np, model, DROptions{Clip: 2, SelfNormalize: true}) },
+			func() (Estimate, error) { return dmOf(tr, np, model) },
+			func() (Estimate, error) { return ipsOf(tr, np, IPSOptions{}) },
+			func() (Estimate, error) { return ipsOf(tr, np, IPSOptions{Clip: 2}) },
+			func() (Estimate, error) { return ipsOf(tr, np, IPSOptions{SelfNormalize: true}) },
+			func() (Estimate, error) { return drOf(tr, np, model, DROptions{}) },
+			func() (Estimate, error) { return drOf(tr, np, model, DROptions{Clip: 2, SelfNormalize: true}) },
 		}
 		for _, est := range ests {
 			e, err := est()
@@ -134,11 +134,11 @@ func TestClippingBoundsMaxWeightProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		tr, np, _ := randomValidTrace(seed)
 		clip := 1.5
-		clipped, err := IPS(tr, np, IPSOptions{Clip: clip})
+		clipped, err := ipsOf(tr, np, IPSOptions{Clip: clip})
 		if err != nil {
 			return false
 		}
-		plain, err := IPS(tr, np, IPSOptions{})
+		plain, err := ipsOf(tr, np, IPSOptions{})
 		if err != nil {
 			return false
 		}
@@ -164,7 +164,7 @@ func TestIPSHandExample(t *testing.T) {
 		{Context: 0, Decision: 0, Reward: 2, Propensity: 0.5},
 		{Context: 1, Decision: 1, Reward: 1, Propensity: 0.3},
 	}
-	got, err := IPS(tr, np, IPSOptions{})
+	got, err := ipsOf(tr, np, IPSOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

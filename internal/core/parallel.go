@@ -38,7 +38,3 @@ func forEachRecordCtx(ctx context.Context, n int, fn func(lo, hi int) error) err
 	}
 	return parallel.ForEachCtx(ctx, n, 0, estimatorGrain, fn)
 }
-
-func forEachRecord(n int, fn func(lo, hi int) error) error {
-	return forEachRecordCtx(context.Background(), n, fn)
-}

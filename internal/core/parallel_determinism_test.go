@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -55,56 +56,75 @@ func determinismTrace(n int) (Trace[float64, int], Policy[float64, int], RewardM
 }
 
 // TestEstimatorsParallelBitIdentical asserts that DM, IPS and DR return
-// exactly the same Estimate — every float field bit-for-bit — whether
-// the contribution loop runs sequentially or chunked over 1, 2 or 8
-// workers.
+// exactly the oracle's Estimate — every float field bit-for-bit —
+// whether the contribution loop runs sequentially or chunked over 1, 2
+// or 8 workers, on the full view and on a resample view.
 func TestEstimatorsParallelBitIdentical(t *testing.T) {
 	const n = 5000
 	tr, np, model := determinismTrace(n)
+	v := mustView(t, tr)
+	idx := testResample(n, 17)
+	rv := resampleView(v, idx)
+	rtr := rv.Materialize()
 
 	type variant struct {
 		name string
-		run  func() (Estimate, error)
+		ref  func(Trace[float64, int]) (Estimate, error)
+		run  func(*TraceView[float64, int]) (Estimate, error)
 	}
 	variants := []variant{
-		{"DM", func() (Estimate, error) { return DirectMethod(tr, np, model) }},
-		{"IPS", func() (Estimate, error) { return IPS(tr, np, IPSOptions{}) }},
-		{"IPS clip", func() (Estimate, error) { return IPS(tr, np, IPSOptions{Clip: 3}) }},
-		{"SNIPS", func() (Estimate, error) { return IPS(tr, np, IPSOptions{SelfNormalize: true}) }},
-		{"DR", func() (Estimate, error) { return DoublyRobust(tr, np, model, DROptions{}) }},
-		{"DR clip+norm", func() (Estimate, error) {
-			return DoublyRobust(tr, np, model, DROptions{Clip: 3, SelfNormalize: true})
+		{"DM", func(tr Trace[float64, int]) (Estimate, error) { return refDM(tr, np, model) },
+			func(v *TraceView[float64, int]) (Estimate, error) { return DirectMethodViewCtx(bg, v, np, model) }},
+		{"IPS", func(tr Trace[float64, int]) (Estimate, error) { return refIPS(tr, np, IPSOptions{}) },
+			func(v *TraceView[float64, int]) (Estimate, error) { return IPSViewCtx(bg, v, np, IPSOptions{}) }},
+		{"IPS clip", func(tr Trace[float64, int]) (Estimate, error) { return refIPS(tr, np, IPSOptions{Clip: 3}) },
+			func(v *TraceView[float64, int]) (Estimate, error) { return IPSViewCtx(bg, v, np, IPSOptions{Clip: 3}) }},
+		{"SNIPS", func(tr Trace[float64, int]) (Estimate, error) { return refIPS(tr, np, IPSOptions{SelfNormalize: true}) },
+			func(v *TraceView[float64, int]) (Estimate, error) {
+				return IPSViewCtx(bg, v, np, IPSOptions{SelfNormalize: true})
+			}},
+		{"DR", func(tr Trace[float64, int]) (Estimate, error) { return refDR(tr, np, model, DROptions{}) },
+			func(v *TraceView[float64, int]) (Estimate, error) {
+				return DoublyRobustViewCtx(bg, v, np, model, DROptions{})
+			}},
+		{"DR clip+norm", func(tr Trace[float64, int]) (Estimate, error) {
+			return refDR(tr, np, model, DROptions{Clip: 3, SelfNormalize: true})
+		}, func(v *TraceView[float64, int]) (Estimate, error) {
+			return DoublyRobustViewCtx(bg, v, np, model, DROptions{Clip: 3, SelfNormalize: true})
 		}},
 	}
-	for _, v := range variants {
-		// Reference: forced-sequential (threshold above the trace size).
-		var want Estimate
-		withParallelism(t, 1, n+1, func() {
-			var err error
-			want, err = v.run()
+	for _, c := range variants {
+		for _, path := range []struct {
+			name string
+			tr   Trace[float64, int]
+			v    *TraceView[float64, int]
+		}{{"full", tr, v}, {"resample", rtr, rv}} {
+			want, err := c.ref(path.tr)
 			if err != nil {
-				t.Fatalf("%s sequential: %v", v.name, err)
+				t.Fatalf("%s %s oracle: %v", c.name, path.name, err)
 			}
-		})
-		for _, w := range workerCounts {
-			withParallelism(t, w, 64, func() {
-				got, err := v.run()
-				if err != nil {
-					t.Fatalf("%s workers=%d: %v", v.name, w, err)
-				}
-				if got != want {
-					t.Fatalf("%s workers=%d: %+v != sequential %+v", v.name, w, got, want)
+			withParallelism(t, 1, n+1, func() {
+				if got, err := c.run(path.v); err != nil || got != want {
+					t.Fatalf("%s %s sequential: %+v/%v != oracle %+v", c.name, path.name, got, err, want)
 				}
 			})
+			for _, w := range workerCounts {
+				withParallelism(t, w, 64, func() {
+					if got, err := c.run(path.v); err != nil || got != want {
+						t.Fatalf("%s %s workers=%d: %+v/%v != oracle %+v", c.name, path.name, w, got, err, want)
+					}
+				})
+			}
 		}
 	}
 }
 
 // TestEstimatorErrorsDeterministicParallel asserts the parallel path
-// reports the same first-failing-record error as the sequential scan.
+// reports the oracle's first-failing-record error.
 func TestEstimatorErrorsDeterministicParallel(t *testing.T) {
 	const n = 2000
 	tr, _, model := determinismTrace(n)
+	v := mustView(t, tr)
 	// A policy whose distribution is invalid for contexts in the upper
 	// half of [0,1]; the first offending record index is fixed by the
 	// trace, not by scheduling.
@@ -114,24 +134,21 @@ func TestEstimatorErrorsDeterministicParallel(t *testing.T) {
 		}
 		return []Weighted[int]{{Decision: 0, Prob: 1}, {Decision: 1, Prob: 0}, {Decision: 2, Prob: 0}}
 	})
-	var want string
-	withParallelism(t, 1, n+1, func() {
-		_, err := DoublyRobust(tr, bad, model, DROptions{})
-		if err == nil {
-			t.Fatal("sequential DR accepted an invalid policy")
-		}
-		want = err.Error()
-	})
+	_, err := refDR(tr, bad, model, DROptions{})
+	if err == nil {
+		t.Fatal("oracle DR accepted an invalid policy")
+	}
+	want := err.Error()
 	if !strings.Contains(want, "record ") {
 		t.Fatalf("unexpected error shape: %s", want)
 	}
 	for _, w := range workerCounts {
 		withParallelism(t, w, 64, func() {
-			_, err := DoublyRobust(tr, bad, model, DROptions{})
+			_, err := DoublyRobustViewCtx(bg, v, bad, model, DROptions{})
 			if err == nil || err.Error() != want {
 				t.Fatalf("workers=%d: error %v, want %s", w, err, want)
 			}
-			_, err = DirectMethod(tr, bad, model)
+			_, err = DirectMethodViewCtx(bg, v, bad, model)
 			if err == nil || err.Error() != want {
 				t.Fatalf("DM workers=%d: error %v, want %s", w, err, want)
 			}
@@ -140,26 +157,26 @@ func TestEstimatorErrorsDeterministicParallel(t *testing.T) {
 }
 
 // TestBootstrapSeededBitIdentical asserts the sharded bootstrap CI is a
-// pure function of the seed: identical for worker counts 1, 2 and 8.
+// pure function of the seed: identical to the sequential oracle for
+// worker counts 1, 2 and 8.
 func TestBootstrapSeededBitIdentical(t *testing.T) {
 	tr, np, model := determinismTrace(400)
-	est := func(tt Trace[float64, int]) (Estimate, error) {
-		return DoublyRobust(tt, np, model, DROptions{})
+	v := mustView(t, tr)
+	want, _, err := refBootstrap(tr, func(tt Trace[float64, int]) (Estimate, error) {
+		return refDR(tt, np, model, DROptions{})
+	}, 99, 150, 0.95)
+	if err != nil {
+		t.Fatal(err)
 	}
-	var want Interval
-	withParallelism(t, 1, 1<<30, func() {
-		var err error
-		want, err = BootstrapSeeded(tr, est, 99, 150, 0.95)
-		if err != nil {
-			t.Fatal(err)
-		}
-	})
 	if want.Lo >= want.Hi {
 		t.Fatalf("degenerate interval %+v", want)
 	}
+	est := func(ctx context.Context, rv *TraceView[float64, int]) (Estimate, error) {
+		return DoublyRobustViewCtx(ctx, rv, np, model, DROptions{})
+	}
 	for _, w := range workerCounts {
 		withParallelism(t, w, 1<<30, func() {
-			got, err := BootstrapSeeded(tr, est, 99, 150, 0.95)
+			got, _, err := Bootstrap(bg, v, est, 99, 150, 0.95)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -170,50 +187,53 @@ func TestBootstrapSeededBitIdentical(t *testing.T) {
 	}
 }
 
-// TestBootstrapSeededValidation mirrors Bootstrap's input checks.
+// TestBootstrapSeededValidation pins Bootstrap's input checks.
 func TestBootstrapSeededValidation(t *testing.T) {
 	tr, np, model := determinismTrace(50)
-	est := func(tt Trace[float64, int]) (Estimate, error) {
-		return DoublyRobust(tt, np, model, DROptions{})
+	est := func(ctx context.Context, rv *TraceView[float64, int]) (Estimate, error) {
+		return DoublyRobustViewCtx(ctx, rv, np, model, DROptions{})
 	}
-	if _, err := BootstrapSeeded(Trace[float64, int]{}, est, 1, 10, 0.95); err == nil {
+	if _, _, err := Bootstrap(bg, mustView(t, Trace[float64, int]{}), est, 1, 10, 0.95); err == nil {
 		t.Fatal("empty trace accepted")
 	}
-	if _, err := BootstrapSeeded(tr, est, 1, 10, 1.5); err == nil {
+	v := mustView(t, tr)
+	if _, _, err := Bootstrap(bg, v, est, 1, 10, 1.5); err == nil {
 		t.Fatal("bad level accepted")
 	}
 	// An estimator that always fails must surface its error.
-	alwaysFail := func(Trace[float64, int]) (Estimate, error) {
+	alwaysFail := func(context.Context, *TraceView[float64, int]) (Estimate, error) {
 		return Estimate{}, ErrNoMatches
 	}
-	if _, err := BootstrapSeeded(tr, alwaysFail, 1, 10, 0.95); err == nil {
+	if _, _, err := Bootstrap(bg, v, alwaysFail, 1, 10, 0.95); err == nil {
 		t.Fatal("all-failing estimator accepted")
 	}
 }
 
 // TestBootstrapSeededStatsSkipped asserts the skipped-resample count is
 // (a) reported, (b) excluded from the interval, and (c) as deterministic
-// as the interval itself — identical at worker counts 1, 2 and 8.
+// as the interval itself — the oracle's at worker counts 1, 2 and 8.
 func TestBootstrapSeededStatsSkipped(t *testing.T) {
 	tr, np, model := determinismTrace(50)
+	v := mustView(t, tr)
 	// Fail on a deterministic property of the resample (contexts are
 	// uniform on [0,1), so this rejects roughly half the 120 shard
 	// streams — a known subset for any fixed seed).
-	flaky := func(tt Trace[float64, int]) (Estimate, error) {
+	refFlaky := func(tt Trace[float64, int]) (Estimate, error) {
 		if tt[0].Context > 0.5 {
 			return Estimate{}, ErrNoMatches
 		}
-		return DoublyRobust(tt, np, model, DROptions{})
+		return refDR(tt, np, model, DROptions{})
 	}
-	var wantIv Interval
-	var want BootstrapStats
-	withParallelism(t, 1, 1<<30, func() {
-		var err error
-		wantIv, want, err = BootstrapSeededStats(tr, flaky, 7, 120, 0.9)
-		if err != nil {
-			t.Fatal(err)
+	flaky := func(ctx context.Context, rv *TraceView[float64, int]) (Estimate, error) {
+		if rv.At(0).Context > 0.5 {
+			return Estimate{}, ErrNoMatches
 		}
-	})
+		return DoublyRobustViewCtx(ctx, rv, np, model, DROptions{})
+	}
+	wantIv, want, err := refBootstrap(tr, refFlaky, 7, 120, 0.9)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if want.Resamples != 120 {
 		t.Fatalf("Resamples = %d, want 120", want.Resamples)
 	}
@@ -222,7 +242,7 @@ func TestBootstrapSeededStatsSkipped(t *testing.T) {
 	}
 	for _, w := range workerCounts {
 		withParallelism(t, w, 1<<30, func() {
-			iv, stats, err := BootstrapSeededStats(tr, flaky, 7, 120, 0.9)
+			iv, stats, err := Bootstrap(bg, v, flaky, 7, 120, 0.9)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -231,16 +251,11 @@ func TestBootstrapSeededStatsSkipped(t *testing.T) {
 			}
 		})
 	}
-	// The wrapper must agree with the stats variant.
-	iv, err := BootstrapSeeded(tr, flaky, 7, 120, 0.9)
-	if err != nil || iv != wantIv {
-		t.Fatalf("BootstrapSeeded disagrees: %+v, %v", iv, err)
-	}
 	// All-failing runs still report their stats.
-	alwaysFail := func(Trace[float64, int]) (Estimate, error) {
+	alwaysFail := func(context.Context, *TraceView[float64, int]) (Estimate, error) {
 		return Estimate{}, ErrNoMatches
 	}
-	_, stats, err := BootstrapSeededStats(tr, alwaysFail, 1, 10, 0.95)
+	_, stats, err := Bootstrap(bg, v, alwaysFail, 1, 10, 0.95)
 	if err == nil {
 		t.Fatal("all-failing estimator accepted")
 	}

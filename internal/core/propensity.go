@@ -5,17 +5,11 @@ import (
 	"fmt"
 )
 
-// AttachPropensities fills each record's Propensity from a known old
+// AttachPropensitiesCtx fills each record's Propensity from a known old
 // policy. It returns an error if the old policy assigns zero probability
 // to a logged decision, which would make the trace inconsistent with the
-// claimed logging policy.
-func AttachPropensities[C any, D comparable](t Trace[C, D], oldPolicy Policy[C, D]) error {
-	return AttachPropensitiesCtx(context.Background(), t, oldPolicy)
-}
-
-// AttachPropensitiesCtx is AttachPropensities with cooperative
-// cancellation: ctx is checked once per chunk of records, so a
-// cancelled ctx stops the fill within one chunk boundary (already
+// claimed logging policy. ctx is checked once per chunk of records, so
+// a cancelled ctx stops the fill within one chunk boundary (already
 // filled records keep their propensities) and returns ctx's error.
 func AttachPropensitiesCtx[C any, D comparable](ctx context.Context, t Trace[C, D], oldPolicy Policy[C, D]) error {
 	for i := range t {
@@ -33,23 +27,17 @@ func AttachPropensitiesCtx[C any, D comparable](ctx context.Context, t Trace[C, 
 	return nil
 }
 
-// EstimatePropensities estimates µ_old(d|c) from the trace itself by
-// empirical frequencies within groups of contexts that share key(c).
+// EstimatePropensitiesCtx estimates µ_old(d|c) from the trace itself
+// by empirical frequencies within groups of contexts that share key(c).
 // This covers the practical case the paper notes ("in practice, it may
 // be necessary to estimate this probability from the trace").
 //
 // minCount guards against degenerate groups: groups with fewer records
 // fall back to the marginal decision frequencies. Estimated propensities
-// are floored at floor to keep importance weights finite.
-func EstimatePropensities[C any, D comparable](t Trace[C, D], key func(c C) string, minCount int, floor float64) error {
-	return EstimatePropensitiesCtx(context.Background(), t, key, minCount, floor)
-}
-
-// EstimatePropensitiesCtx is EstimatePropensities with cooperative
-// cancellation: ctx is checked once per chunk of records in both the
-// counting and the fill pass, so a cancelled ctx stops within one chunk
-// boundary and returns ctx's error (the trace may then be partially
-// filled).
+// are floored at floor to keep importance weights finite. ctx is
+// checked once per chunk of records in both the counting and the fill
+// pass, so a cancelled ctx stops within one chunk boundary and returns
+// ctx's error (the trace may then be partially filled).
 func EstimatePropensitiesCtx[C any, D comparable](ctx context.Context, t Trace[C, D], key func(c C) string, minCount int, floor float64) error {
 	if floor <= 0 {
 		floor = 1e-4

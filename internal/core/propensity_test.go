@@ -18,7 +18,7 @@ func TestAttachPropensities(t *testing.T) {
 		{Context: 0.5, Decision: 0},
 		{Context: 0.5, Decision: 1},
 	}
-	if err := AttachPropensities(tr, old); err != nil {
+	if err := AttachPropensitiesCtx(bg, tr, old); err != nil {
 		t.Fatal(err)
 	}
 	if !almostEqual(tr[0].Propensity, 0.8, 1e-12) {
@@ -29,7 +29,7 @@ func TestAttachPropensities(t *testing.T) {
 	}
 	// Decision impossible under the old policy.
 	bad := Trace[float64, int]{{Context: 0.5, Decision: 9}}
-	if err := AttachPropensities(bad, old); err == nil {
+	if err := AttachPropensitiesCtx(bg, bad, old); err == nil {
 		t.Fatal("expected error for zero-probability logged decision")
 	}
 }
@@ -55,7 +55,7 @@ func TestEstimatePropensitiesRecoversTruth(t *testing.T) {
 		tr[i].Propensity = 0
 	}
 	key := func(c int) string { return string(rune('0' + c)) }
-	if err := EstimatePropensities(tr, key, 10, 1e-4); err != nil {
+	if err := EstimatePropensitiesCtx(bg, tr, key, 10, 1e-4); err != nil {
 		t.Fatal(err)
 	}
 	var maxErr float64
@@ -78,7 +78,7 @@ func TestEstimatePropensitiesSmallGroupFallback(t *testing.T) {
 	}
 	// Context 1 appears once: with minCount 2 it must use the marginal
 	// distribution (3/4 for decision 0).
-	if err := EstimatePropensities(tr, func(c int) string { return string(rune('0' + c)) }, 2, 1e-4); err != nil {
+	if err := EstimatePropensitiesCtx(bg, tr, func(c int) string { return string(rune('0' + c)) }, 2, 1e-4); err != nil {
 		t.Fatal(err)
 	}
 	if !almostEqual(tr[0].Propensity, 0.75, 1e-12) {
@@ -88,11 +88,11 @@ func TestEstimatePropensitiesSmallGroupFallback(t *testing.T) {
 
 func TestEstimatePropensitiesFloorAndEmpty(t *testing.T) {
 	var empty Trace[int, int]
-	if err := EstimatePropensities(empty, func(int) string { return "" }, 1, 0); !errors.Is(err, ErrEmptyTrace) {
+	if err := EstimatePropensitiesCtx(bg, empty, func(int) string { return "" }, 1, 0); !errors.Is(err, ErrEmptyTrace) {
 		t.Fatal("expected ErrEmptyTrace")
 	}
 	tr := Trace[int, int]{{Context: 0, Decision: 0}}
-	if err := EstimatePropensities(tr, func(int) string { return "g" }, 1, 0.5); err != nil {
+	if err := EstimatePropensitiesCtx(bg, tr, func(int) string { return "g" }, 1, 0.5); err != nil {
 		t.Fatal(err)
 	}
 	if tr[0].Propensity != 1 {

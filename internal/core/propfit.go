@@ -8,27 +8,21 @@ import (
 	"drnet/internal/mathx"
 )
 
-// FitPropensityModel estimates µ_old(d|c) from the trace with
+// FitPropensityModelCtx estimates µ_old(d|c) from the trace with
 // multinomial logistic regression (one-vs-rest, normalized), for traces
 // whose contexts carry numeric features. It covers the case the paper
 // flags — "in practice, it may be necessary to estimate this
 // probability from the trace" — when contexts are too high-dimensional
-// for the grouped empirical estimator (EstimatePropensities).
+// for the grouped empirical estimator (EstimatePropensitiesCtx).
 //
 // featurize maps a context to its numeric features; floor bounds the
 // estimated propensities away from zero so importance weights stay
 // finite. The fitted propensities are written into the trace records,
 // and the per-decision models are returned so callers can inspect or
-// reuse them.
-func FitPropensityModel[C any, D comparable](t Trace[C, D], featurize func(C) []float64, lambda, floor float64) (map[D]*mathx.LogisticModel, error) {
-	return FitPropensityModelCtx(context.Background(), t, featurize, lambda, floor)
-}
-
-// FitPropensityModelCtx is FitPropensityModel with cooperative
-// cancellation: ctx is checked before each per-decision logistic fit
-// (the expensive unit) and once per chunk of records in the scan and
-// normalization passes. A cancelled ctx returns ctx's error; the trace
-// may then be partially normalized.
+// reuse them. ctx is checked before each per-decision logistic fit (the
+// expensive unit) and once per chunk of records in the scan and
+// normalization passes; a cancelled ctx returns ctx's error, and the
+// trace may then be partially normalized.
 func FitPropensityModelCtx[C any, D comparable](ctx context.Context, t Trace[C, D], featurize func(C) []float64, lambda, floor float64) (map[D]*mathx.LogisticModel, error) {
 	if len(t) == 0 {
 		return nil, ErrEmptyTrace

@@ -36,7 +36,7 @@ func (f HistoryFuncPolicy[C, D]) DistributionWithHistory(h Trace[C, D], c C) []W
 	return f(h, c)
 }
 
-// ReplayResult reports the outcome of ReplayDR.
+// ReplayResult reports the outcome of ReplayDRCtx.
 type ReplayResult struct {
 	Estimate Estimate
 	// Accepted is the number of trace records on which the sampled new
@@ -47,7 +47,7 @@ type ReplayResult struct {
 	Skipped int
 }
 
-// ReplayDR evaluates a non-stationary new policy on a trace using the
+// ReplayDRCtx evaluates a non-stationary new policy on a trace using the
 // paper's §4.2 rejection-sampling extension of DR (after Li et al.'s
 // contextual-bandit replayer):
 //
@@ -58,17 +58,12 @@ type ReplayResult struct {
 // the accumulated sum divided by the number of accepted records.
 //
 // When the target policy is stationary this estimator coincides in
-// expectation with DoublyRobust, which TestReplayMatchesDRStationary
-// verifies.
-func ReplayDR[C any, D comparable](t Trace[C, D], newPolicy HistoryPolicy[C, D], model RewardModel[C, D], rng *mathx.RNG) (ReplayResult, error) {
-	return ReplayDRCtx(context.Background(), t, newPolicy, model, rng)
-}
-
-// ReplayDRCtx is ReplayDR with cooperative cancellation. The replayer
-// is inherently sequential (each record's distribution depends on the
-// history accepted so far), so ctx is checked once per chunk of
-// records; a cancelled ctx stops the replay within one chunk boundary
-// and returns ctx's error.
+// expectation with DoublyRobustViewCtx, which
+// TestReplayMatchesDRStationary verifies. The replayer is inherently
+// sequential (each record's distribution depends on the history
+// accepted so far), so ctx is checked once per chunk of records; a
+// cancelled ctx stops the replay within one chunk boundary and returns
+// ctx's error.
 func ReplayDRCtx[C any, D comparable](ctx context.Context, t Trace[C, D], newPolicy HistoryPolicy[C, D], model RewardModel[C, D], rng *mathx.RNG) (ReplayResult, error) {
 	if len(t) == 0 {
 		return ReplayResult{}, ErrEmptyTrace

@@ -19,11 +19,11 @@ func TestReplayMatchesDRStationary(t *testing.T) {
 		b := newTestBandit(int64(500+run), 0.1)
 		tr, _ := collectBanditTrace(b, 600, 0.6)
 		rng := mathx.NewRNG(int64(9000 + run))
-		res, err := ReplayDR[float64, int](tr, Stationary[float64, int]{Policy: np}, model, rng)
+		res, err := ReplayDRCtx[float64, int](bg, tr, Stationary[float64, int]{Policy: np}, model, rng)
 		if err != nil {
 			t.Fatal(err)
 		}
-		dr, err := DoublyRobust(tr, np, model, DROptions{})
+		dr, err := drOf(tr, np, model, DROptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -67,7 +67,7 @@ func TestReplayNonStationaryConverges(t *testing.T) {
 	tr, _ := collectBanditTrace(b, 3000, 1.0) // uniform logging
 	rng := mathx.NewRNG(99)
 	model := RewardFunc[float64, int](func(c float64, d int) float64 { return c * float64(d+1) })
-	res, err := ReplayDR[float64, int](tr, windowPolicy{}, model, rng)
+	res, err := ReplayDRCtx[float64, int](bg, tr, windowPolicy{}, model, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,17 +82,17 @@ func TestReplayNonStationaryConverges(t *testing.T) {
 func TestReplayErrors(t *testing.T) {
 	rng := mathx.NewRNG(1)
 	model := ConstantModel[float64, int]{}
-	if _, err := ReplayDR[float64, int](nil, windowPolicy{}, model, rng); !errors.Is(err, ErrEmptyTrace) {
+	if _, err := ReplayDRCtx[float64, int](bg, nil, windowPolicy{}, model, rng); !errors.Is(err, ErrEmptyTrace) {
 		t.Fatal("expected ErrEmptyTrace")
 	}
 	tr := Trace[float64, int]{{Context: 0.5, Decision: 7, Reward: 1, Propensity: 0.5}}
 	// New policy never chooses decision 7 → no matches.
 	never := Stationary[float64, int]{Policy: UniformPolicy[float64, int]{Decisions: []int{0, 1}}}
-	if _, err := ReplayDR[float64, int](tr, never, model, rng); !errors.Is(err, ErrNoMatches) {
+	if _, err := ReplayDRCtx[float64, int](bg, tr, never, model, rng); !errors.Is(err, ErrNoMatches) {
 		t.Fatal("expected ErrNoMatches")
 	}
 	bad := Trace[float64, int]{{Context: 0.5, Decision: 0, Reward: 1, Propensity: -1}}
-	if _, err := ReplayDR[float64, int](bad, never, model, rng); err == nil {
+	if _, err := ReplayDRCtx[float64, int](bg, bad, never, model, rng); err == nil {
 		t.Fatal("expected propensity validation error")
 	}
 }

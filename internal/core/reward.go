@@ -26,9 +26,9 @@ type ConstantModel[C any, D comparable] struct {
 func (m ConstantModel[C, D]) Predict(C, D) float64 { return m.Value }
 
 // TableModel predicts by lookup on a caller-supplied key derived from
-// (context, decision), falling back to a default for unseen keys. FitTable
-// builds one from a trace by averaging observed rewards per key — the
-// simplest data-driven Direct Method model.
+// (context, decision), falling back to a default for unseen keys.
+// FitTableCtx builds one from a trace by averaging observed rewards per
+// key — the simplest data-driven Direct Method model.
 type TableModel[C any, D comparable] struct {
 	Key     func(c C, d D) string
 	Values  map[string]float64
@@ -43,17 +43,11 @@ func (m *TableModel[C, D]) Predict(c C, d D) float64 {
 	return m.Default
 }
 
-// FitTable estimates a TableModel from a trace by averaging rewards that
-// share a key. The default for unseen keys is the global mean reward.
-func FitTable[C any, D comparable](t Trace[C, D], key func(c C, d D) string) *TableModel[C, D] {
-	// Background never cancels, so the error branch is unreachable.
-	m, _ := FitTableCtx(context.Background(), t, key)
-	return m
-}
-
-// FitTableCtx is FitTable with cooperative cancellation: ctx is checked
-// once per chunk of records, so a cancelled ctx stops the fit within
-// one chunk boundary and returns ctx's error instead of a model.
+// FitTableCtx estimates a TableModel from a trace by averaging rewards
+// that share a key. The default for unseen keys is the global mean
+// reward. ctx is checked once per chunk of records, so a cancelled ctx
+// stops the fit within one chunk boundary and returns ctx's error
+// instead of a model.
 func FitTableCtx[C any, D comparable](ctx context.Context, t Trace[C, D], key func(c C, d D) string) (*TableModel[C, D], error) {
 	sums := make(map[string]float64)
 	counts := make(map[string]int)

@@ -28,24 +28,24 @@ func TestScratchNoCrossRequestContamination(t *testing.T) {
 	fixtures := make([]fixture, streams)
 	for s := range fixtures {
 		tr, np, model := determinismTrace(600 + 37*s)
-		v, err := NewTraceView(tr)
+		v, err := NewTraceViewCtx(bg, tr)
 		if err != nil {
-			t.Fatalf("stream %d: NewTraceView: %v", s, err)
+			t.Fatalf("stream %d: NewTraceViewCtx: %v", s, err)
 		}
 		fx := fixture{v: v, np: np, model: model}
-		if fx.dm, err = DirectMethodView(v, np, model); err != nil {
+		if fx.dm, err = DirectMethodViewCtx(bg, v, np, model); err != nil {
 			t.Fatalf("stream %d: DM: %v", s, err)
 		}
-		if fx.ips, err = IPSView(v, np, IPSOptions{Clip: 4, SelfNormalize: true}); err != nil {
+		if fx.ips, err = IPSViewCtx(bg, v, np, IPSOptions{Clip: 4, SelfNormalize: true}); err != nil {
 			t.Fatalf("stream %d: IPS: %v", s, err)
 		}
-		if fx.dr, err = DoublyRobustView(v, np, model, DROptions{Clip: 4}); err != nil {
+		if fx.dr, err = DoublyRobustViewCtx(bg, v, np, model, DROptions{Clip: 4}); err != nil {
 			t.Fatalf("stream %d: DR: %v", s, err)
 		}
-		if fx.diag, err = DiagnoseView(v, np); err != nil {
+		if fx.diag, err = DiagnoseViewCtx(bg, v, np); err != nil {
 			t.Fatalf("stream %d: Diagnose: %v", s, err)
 		}
-		if fx.iv, err = BootstrapDRViewSeeded(v, np, DROptions{Clip: 4}, int64(s), 10, 0.9); err != nil {
+		if fx.iv, _, err = BootstrapDRViewSeededStatsCtx(bg, v, np, DROptions{Clip: 4}, int64(s), 10, 0.9); err != nil {
 			t.Fatalf("stream %d: bootstrap: %v", s, err)
 		}
 		fixtures[s] = fx
@@ -58,23 +58,23 @@ func TestScratchNoCrossRequestContamination(t *testing.T) {
 			defer wg.Done()
 			fx := &fixtures[s]
 			for r := 0; r < rounds; r++ {
-				if got, err := DirectMethodView(fx.v, fx.np, fx.model); err != nil || got != fx.dm {
+				if got, err := DirectMethodViewCtx(bg, fx.v, fx.np, fx.model); err != nil || got != fx.dm {
 					t.Errorf("stream %d round %d: DM %+v (err %v) != %+v", s, r, got, err, fx.dm)
 					return
 				}
-				if got, err := IPSView(fx.v, fx.np, IPSOptions{Clip: 4, SelfNormalize: true}); err != nil || got != fx.ips {
+				if got, err := IPSViewCtx(bg, fx.v, fx.np, IPSOptions{Clip: 4, SelfNormalize: true}); err != nil || got != fx.ips {
 					t.Errorf("stream %d round %d: IPS %+v (err %v) != %+v", s, r, got, err, fx.ips)
 					return
 				}
-				if got, err := DoublyRobustView(fx.v, fx.np, fx.model, DROptions{Clip: 4}); err != nil || got != fx.dr {
+				if got, err := DoublyRobustViewCtx(bg, fx.v, fx.np, fx.model, DROptions{Clip: 4}); err != nil || got != fx.dr {
 					t.Errorf("stream %d round %d: DR %+v (err %v) != %+v", s, r, got, err, fx.dr)
 					return
 				}
-				if got, err := DiagnoseView(fx.v, fx.np); err != nil || got != fx.diag {
+				if got, err := DiagnoseViewCtx(bg, fx.v, fx.np); err != nil || got != fx.diag {
 					t.Errorf("stream %d round %d: Diagnose %+v (err %v) != %+v", s, r, got, err, fx.diag)
 					return
 				}
-				if got, err := BootstrapDRViewSeeded(fx.v, fx.np, DROptions{Clip: 4}, int64(s), 10, 0.9); err != nil || got != fx.iv {
+				if got, _, err := BootstrapDRViewSeededStatsCtx(bg, fx.v, fx.np, DROptions{Clip: 4}, int64(s), 10, 0.9); err != nil || got != fx.iv {
 					t.Errorf("stream %d round %d: bootstrap %+v (err %v) != %+v", s, r, got, err, fx.iv)
 					return
 				}
@@ -87,15 +87,15 @@ func TestScratchNoCrossRequestContamination(t *testing.T) {
 
 // TestEstimatorSteadyStateAllocs asserts the columnar DM/IPS/DR hot
 // path over a warm view allocates at most a small constant per
-// evaluation — the slice path allocates O(n). The trace stays below
+// evaluation — a per-record evaluation allocates O(n). The trace stays below
 // ParallelThreshold so the measurement excludes goroutine scheduling,
 // and the model is prefit so only the estimator itself is measured.
 func TestEstimatorSteadyStateAllocs(t *testing.T) {
 	const n = 2000
 	tr, np, _ := quantizedTrace(n)
-	v, err := NewTraceView(tr)
+	v, err := NewTraceViewCtx(bg, tr)
 	if err != nil {
-		t.Fatalf("NewTraceView: %v", err)
+		t.Fatalf("NewTraceViewCtx: %v", err)
 	}
 	model := FitTableView(v)
 	var sink Estimate
@@ -116,12 +116,20 @@ func TestEstimatorSteadyStateAllocs(t *testing.T) {
 		budget float64
 		run    func()
 	}{
-		{"DM", budget, func() { sink, _ = DirectMethodView(v, np, model) }},
-		{"IPS", budget, func() { sink, _ = IPSView(v, np, IPSOptions{Clip: 4, SelfNormalize: true}) }},
-		{"DR", budget, func() { sink, _ = DoublyRobustView(v, np, model, DROptions{Clip: 4, SelfNormalize: true}) }},
+		{"DM", budget, func() { sink, _ = DirectMethodViewCtx(bg, v, np, model) }},
+		{"IPS", budget, func() { sink, _ = IPSViewCtx(bg, v, np, IPSOptions{Clip: 4, SelfNormalize: true}) }},
+		{"DR", budget, func() { sink, _ = DoublyRobustViewCtx(bg, v, np, model, DROptions{Clip: 4, SelfNormalize: true}) }},
 	}
 	for _, c := range cases {
-		if got := warm(c.run); got > c.budget {
+		got := warm(c.run)
+		if raceEnabled {
+			// The race detector makes sync.Pool drop a share of Puts
+			// on purpose, so pooled scratch misses and the count
+			// overstates the steady state.
+			t.Logf("%s: %.1f allocs per evaluation under -race (budget %.0f not enforced)", c.name, got, c.budget)
+			continue
+		}
+		if got > c.budget {
 			t.Errorf("%s: %.1f allocs per steady-state evaluation, budget %.0f", c.name, got, c.budget)
 		}
 	}
@@ -131,19 +139,19 @@ func TestEstimatorSteadyStateAllocs(t *testing.T) {
 // TestBootstrapSteadyStateAllocs bounds per-resample allocation of the
 // packaged refit-DR bootstrap: the per-resample cost must be O(1)
 // allocations (pooled index + sufficient-statistic buffers), not the
-// O(n) record copy plus O(U·K) model maps of the slice closure.
+// O(n) record copy plus O(U·K) model maps of a materializing closure.
 func TestBootstrapSteadyStateAllocs(t *testing.T) {
 	const (
 		n = 2000
 		b = 50
 	)
 	tr, np, _ := quantizedTrace(n)
-	v, err := NewTraceView(tr)
+	v, err := NewTraceViewCtx(bg, tr)
 	if err != nil {
-		t.Fatalf("NewTraceView: %v", err)
+		t.Fatalf("NewTraceViewCtx: %v", err)
 	}
 	run := func() {
-		if _, _, err := BootstrapDRViewSeededStats(v, np, DROptions{Clip: 4}, 17, b, 0.9); err != nil {
+		if _, _, err := BootstrapDRViewSeededStatsCtx(bg, v, np, DROptions{Clip: 4}, 17, b, 0.9); err != nil {
 			t.Fatalf("bootstrap: %v", err)
 		}
 	}
@@ -155,6 +163,10 @@ func TestBootstrapSteadyStateAllocs(t *testing.T) {
 	// quantile copies, worker bookkeeping) plus ~2 allocs per resample
 	// for RNG shards — far from the ~75·n of the record-copy path.
 	budget := float64(16*b + 200)
+	if raceEnabled {
+		t.Logf("bootstrap: %.0f allocs per run under -race (budget %.0f not enforced)", got, budget)
+		return
+	}
 	if got > budget {
 		t.Errorf("bootstrap: %.0f allocs per run (b=%d resamples), budget %.0f", got, b, budget)
 	}

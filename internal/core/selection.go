@@ -1,11 +1,10 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sort"
-
-	"drnet/internal/mathx"
 )
 
 // Candidate is a named policy submitted to SelectBest.
@@ -45,13 +44,15 @@ type SelectOptions struct {
 // estimates each candidate's value with DR, attaches bootstrap
 // intervals and overlap diagnostics, filters out candidates the trace
 // cannot support, and returns the survivors sorted by estimated value
-// (best first).
+// (best first). Every candidate's interval is drawn from the same
+// seeded resamples, so the intervals are comparable with each other
+// and the ranking is reproducible at any worker count.
 //
 // It returns ErrNoSupportedCandidates when the trace supports none of
 // the candidates — the correct answer when an operator asks a trace a
 // question it cannot answer.
-func SelectBest[C any, D comparable](t Trace[C, D], model RewardModel[C, D], candidates []Candidate[C, D], rng *mathx.RNG, opts SelectOptions) ([]Ranked[C, D], error) {
-	if len(t) == 0 {
+func SelectBest[C any, D comparable](ctx context.Context, v *TraceView[C, D], model RewardModel[C, D], candidates []Candidate[C, D], seed int64, opts SelectOptions) ([]Ranked[C, D], error) {
+	if v.Len() == 0 {
 		return nil, ErrEmptyTrace
 	}
 	if len(candidates) == 0 {
@@ -68,11 +69,11 @@ func SelectBest[C any, D comparable](t Trace[C, D], model RewardModel[C, D], can
 	}
 	var out []Ranked[C, D]
 	for _, cand := range candidates {
-		diag, err := Diagnose(t, cand.Policy)
+		diag, err := DiagnoseViewCtx(ctx, v, cand.Policy)
 		if err != nil {
 			return nil, fmt.Errorf("core: candidate %q: %w", cand.Name, err)
 		}
-		est, err := DoublyRobust(t, cand.Policy, model, opts.DR)
+		est, err := DoublyRobustViewCtx(ctx, v, cand.Policy, model, opts.DR)
 		if err != nil {
 			return nil, fmt.Errorf("core: candidate %q: %w", cand.Name, err)
 		}
@@ -80,9 +81,9 @@ func SelectBest[C any, D comparable](t Trace[C, D], model RewardModel[C, D], can
 			continue // unsupported by this trace
 		}
 		policy := cand.Policy
-		ci, err := Bootstrap(t, func(rt Trace[C, D]) (Estimate, error) {
-			return DoublyRobust(rt, policy, model, opts.DR)
-		}, rng, opts.Bootstrap, opts.Level)
+		ci, _, err := Bootstrap(ctx, v, func(ctx context.Context, rv *TraceView[C, D]) (Estimate, error) {
+			return DoublyRobustViewCtx(ctx, rv, policy, model, opts.DR)
+		}, seed, opts.Bootstrap, opts.Level)
 		if err != nil {
 			return nil, fmt.Errorf("core: candidate %q: %w", cand.Name, err)
 		}

@@ -18,9 +18,8 @@ func banditCandidates() []Candidate[float64, int] {
 func TestSelectBestRanksByTrueValue(t *testing.T) {
 	b := newTestBandit(81, 0.1)
 	tr, _ := collectBanditTrace(b, 3000, 0.5)
-	rng := mathx.NewRNG(5)
 	model := RewardFunc[float64, int](b.trueReward)
-	ranked, err := SelectBest(tr, model, banditCandidates(), rng, SelectOptions{Bootstrap: 100})
+	ranked, err := SelectBest(bg, mustView(t, tr), model, banditCandidates(), 5, SelectOptions{Bootstrap: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,18 +54,18 @@ func TestSelectBestFiltersUnsupported(t *testing.T) {
 	old := DeterministicPolicy[float64, int]{Choose: func(float64) int { return 0 }}
 	ctxs := b.contexts(500)
 	tr := CollectTrace(ctxs, old, b.drawReward, b.rng)
-	rng := mathx.NewRNG(6)
+	v := mustView(t, tr)
 	model := RewardFunc[float64, int](b.trueReward)
 	cands := []Candidate[float64, int]{
 		{Name: "disjoint", Policy: DeterministicPolicy[float64, int]{Choose: func(float64) int { return 2 }}},
 	}
-	_, err := SelectBest(tr, model, cands, rng, SelectOptions{})
+	_, err := SelectBest(bg, v, model, cands, 6, SelectOptions{})
 	if !errors.Is(err, ErrNoSupportedCandidates) {
 		t.Fatalf("want ErrNoSupportedCandidates, got %v", err)
 	}
 	// Adding a supported candidate keeps only it.
 	cands = append(cands, Candidate[float64, int]{Name: "same", Policy: old})
-	ranked, err := SelectBest(tr, model, cands, rng, SelectOptions{Bootstrap: 50})
+	ranked, err := SelectBest(bg, v, model, cands, 6, SelectOptions{Bootstrap: 50})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,17 +75,17 @@ func TestSelectBestFiltersUnsupported(t *testing.T) {
 }
 
 func TestSelectBestErrors(t *testing.T) {
-	rng := mathx.NewRNG(7)
 	model := ConstantModel[float64, int]{}
-	if _, err := SelectBest(Trace[float64, int]{}, model, banditCandidates(), rng, SelectOptions{}); !errors.Is(err, ErrEmptyTrace) {
+	if _, err := SelectBest(bg, mustView(t, Trace[float64, int]{}), model, banditCandidates(), 7, SelectOptions{}); !errors.Is(err, ErrEmptyTrace) {
 		t.Fatal("expected ErrEmptyTrace")
 	}
 	tr := Trace[float64, int]{{Context: 0.5, Decision: 0, Reward: 1, Propensity: 1}}
-	if _, err := SelectBest(tr, model, nil, rng, SelectOptions{}); err == nil {
+	if _, err := SelectBest(bg, mustView(t, tr), model, nil, 7, SelectOptions{}); err == nil {
 		t.Fatal("expected error for no candidates")
 	}
+	// An invalid trace never reaches SelectBest: its view fails to build.
 	bad := Trace[float64, int]{{Context: 0.5, Decision: 0, Reward: 1, Propensity: 0}}
-	if _, err := SelectBest(bad, model, banditCandidates(), rng, SelectOptions{}); err == nil {
+	if _, err := NewTraceViewCtx(bg, bad); err == nil {
 		t.Fatal("expected validation error")
 	}
 }
@@ -127,7 +126,7 @@ func TestFitPropensityModelRecoversLogging(t *testing.T) {
 		truth[i] = tr[i].Propensity
 		tr[i].Propensity = 0
 	}
-	models, err := FitPropensityModel(tr, func(x float64) []float64 { return []float64{x} }, 1e-4, 1e-3)
+	models, err := FitPropensityModelCtx(bg, tr, func(x float64) []float64 { return []float64{x} }, 1e-4, 1e-3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,15 +153,15 @@ func TestFitPropensityModelRecoversLogging(t *testing.T) {
 
 func TestFitPropensityModelErrors(t *testing.T) {
 	feat := func(x float64) []float64 { return []float64{x} }
-	if _, err := FitPropensityModel(Trace[float64, int]{}, feat, 0, 0); !errors.Is(err, ErrEmptyTrace) {
+	if _, err := FitPropensityModelCtx(bg, Trace[float64, int]{}, feat, 0, 0); !errors.Is(err, ErrEmptyTrace) {
 		t.Fatal("expected ErrEmptyTrace")
 	}
 	single := Trace[float64, int]{{Context: 0.5, Decision: 0}}
-	if _, err := FitPropensityModel(single, feat, 0, 0); err == nil {
+	if _, err := FitPropensityModelCtx(bg, single, feat, 0, 0); err == nil {
 		t.Fatal("single decision should fail")
 	}
 	two := Trace[float64, int]{{Context: 0.5, Decision: 0}, {Context: 0.6, Decision: 1}}
-	if _, err := FitPropensityModel(two, feat, -1, 0); err == nil {
+	if _, err := FitPropensityModelCtx(bg, two, feat, -1, 0); err == nil {
 		t.Fatal("negative lambda should fail")
 	}
 }
@@ -182,12 +181,12 @@ func TestFitPropensityModelEnablesDR(t *testing.T) {
 	for i := range tr {
 		tr[i].Propensity = 0 // forget the logging policy
 	}
-	if _, err := FitPropensityModel(tr, func(x float64) []float64 { return []float64{x} }, 1e-4, 1e-3); err != nil {
+	if _, err := FitPropensityModelCtx(bg, tr, func(x float64) []float64 { return []float64{x} }, 1e-4, 1e-3); err != nil {
 		t.Fatal(err)
 	}
 	np := banditNewPolicy(0.2)
 	truth := TrueValue(ctxs, np, b.trueReward)
-	dr, err := DoublyRobust(tr, np, ConstantModel[float64, int]{Value: 1}, DROptions{})
+	dr, err := drOf(tr, np, ConstantModel[float64, int]{Value: 1}, DROptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,7 +17,7 @@ import (
 // Equivalence contract (locked down by stream_equivalence_test.go):
 // with a FROZEN reward model — the Dudík, Langford & Li (2011) regime
 // the streaming DR path requires — the running aggregates reproduce
-// the *View estimators over the concatenated trace
+// the view estimators over the concatenated trace
 //
 //   - bit-identically for every quantity whose batch reduction is a
 //     single in-order pass: DM/IPS/SNIPS/DR Value (non-self-normalized
@@ -59,7 +59,7 @@ type ViewBuilder[C any, D comparable] struct {
 }
 
 // NewViewBuilder returns an empty builder interning contexts by value
-// (the streaming NewTraceView).
+// (the streaming NewTraceViewCtx).
 func NewViewBuilder[C comparable, D comparable]() *ViewBuilder[C, D] {
 	b := newViewBuilder[C, D]()
 	index := make(map[C]int32)
@@ -85,8 +85,8 @@ func NewViewBuilder[C comparable, D comparable]() *ViewBuilder[C, D] {
 }
 
 // NewViewBuilderKeyed returns an empty builder interning contexts by
-// key (the streaming NewTraceViewKeyed). The key must be injective up
-// to behavioral equivalence, exactly as for NewTraceViewKeyed.
+// key (the streaming NewTraceViewKeyedCtx). The key must be injective
+// up to behavioral equivalence, exactly as for NewTraceViewKeyedCtx.
 func NewViewBuilderKeyed[C any, D comparable](key func(C) string) *ViewBuilder[C, D] {
 	b := newViewBuilder[C, D]()
 	index := make(map[string]int32)

@@ -15,8 +15,8 @@ type Record[C any, D comparable] struct {
 	Reward   float64
 	// Propensity is µ_old(Decision | Context): the probability with
 	// which the logging policy chose this decision. It must be in
-	// (0, 1]. When it is unknown, use AttachPropensities or
-	// EstimatePropensities before running IPS/DR.
+	// (0, 1]. When it is unknown, use AttachPropensitiesCtx or
+	// EstimatePropensitiesCtx before running IPS/DR.
 	Propensity float64
 }
 

@@ -75,7 +75,7 @@ func TestFitTable(t *testing.T) {
 		{Context: "x", Decision: 1, Reward: 4, Propensity: 1},
 		{Context: "y", Decision: 2, Reward: 10, Propensity: 1},
 	}
-	m := FitTable(tr, func(c string, d int) string { return c })
+	m := fitTable(tr, func(c string, d int) string { return c })
 	if got := m.Predict("x", 1); got != 3 {
 		t.Fatalf("Predict(x) = %g, want 3", got)
 	}

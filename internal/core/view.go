@@ -11,9 +11,16 @@ import (
 // context/decision values are interned into small-integer codes with a
 // dictionary back to the original values. It is built once from a
 // Trace and then shared, read-only, by every estimator evaluation —
-// the *View estimator variants compute from the columns with pooled
-// scratch buffers instead of walking []Record, and the bootstrap
-// resamples it by index instead of copying records.
+// the estimators compute from the columns with pooled scratch buffers
+// instead of walking []Record.
+//
+// A view may also be a resample or a fold of another view: it then
+// shares the parent's columns and dictionaries and reads only the
+// record multiset rows (indices into the parent, duplicates allowed),
+// in that order. Bootstrap and CrossFitDRViewCtx hand such views to
+// the same estimator bodies that serve full views, so an estimate on
+// a resample is the estimate on the materialized resample without
+// copying a record.
 //
 // Invariants established at construction and relied on by the hot
 // path:
@@ -27,18 +34,24 @@ import (
 //     traces whose context/decision spaces are much smaller than n,
 //     which is the regime of every workload in this repository).
 //
-// Equivalence contract: the *View estimators are bit-identical to
-// their Trace counterparts provided the policy and reward model are
-// pure functions that do not distinguish between contexts the view
-// interned together (for NewTraceView: contexts that compare equal;
-// for NewTraceViewKeyed: contexts with equal keys). The equivalence
-// suite in view_equivalence_test.go locks this down for every
+// Equivalence contract: the estimators give the same bits as a
+// sequential per-record evaluation of the materialized trace provided
+// the policy and reward model are pure functions that do not
+// distinguish between contexts the view interned together (for
+// NewTraceViewCtx: contexts that compare equal; for
+// NewTraceViewKeyedCtx: contexts with equal keys). The test suite's
+// reference oracle (oracle_test.go) locks this down for every
 // estimator at worker counts 1, 2 and 8.
 type TraceView[C any, D comparable] struct {
 	rewards      []float64
 	propensities []float64
 	ctxCodes     []int32
 	decCodes     []int32
+
+	// rows, when non-nil, is the record multiset this view reads
+	// (indices into the columns above); nil means every record in
+	// order.
+	rows []int
 
 	// contexts and decisions are the interning dictionaries, in
 	// first-occurrence order; ctxFirst[u] is the record index at which
@@ -54,15 +67,10 @@ type TraceView[C any, D comparable] struct {
 	lookup func(C) (int32, bool)
 }
 
-// NewTraceView builds a columnar view of t, interning contexts by
+// NewTraceViewCtx builds a columnar view of t, interning contexts by
 // value (C must be comparable). It validates exactly like
-// Trace.Validate and fails with the same error on the same record.
-func NewTraceView[C comparable, D comparable](t Trace[C, D]) (*TraceView[C, D], error) {
-	return NewTraceViewCtx(context.Background(), t)
-}
-
-// NewTraceViewCtx is NewTraceView with cooperative cancellation: ctx
-// is checked once per chunk of records during the build pass.
+// Trace.Validate and fails with the same error on the same record;
+// ctx is checked once per chunk of records during the build pass.
 func NewTraceViewCtx[C comparable, D comparable](ctx context.Context, t Trace[C, D]) (*TraceView[C, D], error) {
 	index := make(map[C]int32)
 	intern := func(c C) (int32, bool) {
@@ -80,19 +88,13 @@ func NewTraceViewCtx[C comparable, D comparable](ctx context.Context, t Trace[C,
 	return buildView(ctx, t, intern, lookup)
 }
 
-// NewTraceViewKeyed builds a columnar view of t for context types that
-// are not comparable (feature vectors, slices): contexts are interned
-// by the caller-supplied key. The key must be injective up to
+// NewTraceViewKeyedCtx builds a columnar view of t for context types
+// that are not comparable (feature vectors, slices): contexts are
+// interned by the caller-supplied key. The key must be injective up to
 // behavioral equivalence — contexts mapping to the same key must be
 // indistinguishable to every policy and reward model evaluated against
-// the view, or the *View estimators lose their bit-equivalence with
-// the Trace path.
-func NewTraceViewKeyed[C any, D comparable](t Trace[C, D], key func(C) string) (*TraceView[C, D], error) {
-	return NewTraceViewKeyedCtx(context.Background(), t, key)
-}
-
-// NewTraceViewKeyedCtx is NewTraceViewKeyed with cooperative
-// cancellation, mirroring NewTraceViewCtx.
+// the view, or the estimators lose their bit-equivalence with a
+// per-record evaluation. ctx is checked as in NewTraceViewCtx.
 func NewTraceViewKeyedCtx[C any, D comparable](ctx context.Context, t Trace[C, D], key func(C) string) (*TraceView[C, D], error) {
 	index := make(map[string]int32)
 	intern := func(c C) (int32, bool) {
@@ -162,8 +164,21 @@ func buildView[C any, D comparable](ctx context.Context, t Trace[C, D], intern f
 	return v, nil
 }
 
+// row maps position i of the view to its record index in the columns.
+func (v *TraceView[C, D]) row(i int) int {
+	if v.rows == nil {
+		return i
+	}
+	return v.rows[i]
+}
+
 // Len returns the number of records in the view.
-func (v *TraceView[C, D]) Len() int { return len(v.rewards) }
+func (v *TraceView[C, D]) Len() int {
+	if v.rows != nil {
+		return len(v.rows)
+	}
+	return len(v.rewards)
+}
 
 // NumContexts returns the number of distinct interned contexts.
 func (v *TraceView[C, D]) NumContexts() int { return len(v.contexts) }
@@ -174,6 +189,7 @@ func (v *TraceView[C, D]) NumDecisions() int { return len(v.decisions) }
 // At reconstructs record i. The context is the dictionary
 // representative (the first record that interned to the same code).
 func (v *TraceView[C, D]) At(i int) Record[C, D] {
+	i = v.row(i)
 	return Record[C, D]{
 		Context:    v.contexts[v.ctxCodes[i]],
 		Decision:   v.decisions[v.decCodes[i]],
@@ -183,18 +199,18 @@ func (v *TraceView[C, D]) At(i int) Record[C, D] {
 }
 
 // RewardAt returns record i's reward without reconstructing the record.
-func (v *TraceView[C, D]) RewardAt(i int) float64 { return v.rewards[i] }
+func (v *TraceView[C, D]) RewardAt(i int) float64 { return v.rewards[v.row(i)] }
 
 // PropensityAt returns record i's logged propensity.
-func (v *TraceView[C, D]) PropensityAt(i int) float64 { return v.propensities[i] }
+func (v *TraceView[C, D]) PropensityAt(i int) float64 { return v.propensities[v.row(i)] }
 
 // ContextCode returns record i's interned context code, in
 // [0, NumContexts). Codes are assigned in first-occurrence order.
-func (v *TraceView[C, D]) ContextCode(i int) int { return int(v.ctxCodes[i]) }
+func (v *TraceView[C, D]) ContextCode(i int) int { return int(v.ctxCodes[v.row(i)]) }
 
 // DecisionCode returns record i's interned decision code, in
 // [0, NumDecisions).
-func (v *TraceView[C, D]) DecisionCode(i int) int { return int(v.decCodes[i]) }
+func (v *TraceView[C, D]) DecisionCode(i int) int { return int(v.decCodes[v.row(i)]) }
 
 // ContextValue returns the dictionary representative of context code u
 // (the context of the first record that interned to u).
@@ -222,24 +238,27 @@ func (v *TraceView[C, D]) Materialize() Trace[C, D] {
 	return out
 }
 
-// Rewards returns a copy of the reward column.
+// Rewards returns the view's rewards in order.
 func (v *TraceView[C, D]) Rewards() []float64 {
-	out := make([]float64, len(v.rewards))
-	copy(out, v.rewards)
+	out := make([]float64, v.Len())
+	for i := range out {
+		out[i] = v.rewards[v.row(i)]
+	}
 	return out
 }
 
 // MeanReward returns the average logged reward, bit-identical to
 // Trace.MeanReward (same in-order summation).
 func (v *TraceView[C, D]) MeanReward() float64 {
-	if len(v.rewards) == 0 {
+	n := v.Len()
+	if n == 0 {
 		return 0
 	}
 	s := 0.0
-	for _, r := range v.rewards {
-		s += r
+	for i := 0; i < n; i++ {
+		s += v.rewards[v.row(i)]
 	}
-	return s / float64(len(v.rewards))
+	return s / float64(n)
 }
 
 // UniqueContexts returns a copy of the context dictionary in

@@ -52,7 +52,7 @@ func FuzzNewTraceView(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, n uint16, mutIdx uint16, propBits, rewBits uint64) {
 		tr := fuzzTrace(seed, n, mutIdx, propBits, rewBits)
 		wantErr := tr.Validate()
-		v, gotErr := NewTraceView(tr)
+		v, gotErr := NewTraceViewCtx(bg, tr)
 		if (wantErr == nil) != (gotErr == nil) {
 			t.Fatalf("validation parity: Trace.Validate=%v NewTraceView=%v", wantErr, gotErr)
 		}
@@ -106,7 +106,7 @@ func FuzzNewTraceView(f *testing.F) {
 			}
 		}
 		// Keyed constructor with an injective key agrees column-for-column.
-		kv, err := NewTraceViewKeyed(tr, func(c float64) string {
+		kv, err := NewTraceViewKeyedCtx(bg, tr, func(c float64) string {
 			return strconv.FormatFloat(c, 'g', -1, 64)
 		})
 		if err != nil {

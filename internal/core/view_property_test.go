@@ -9,53 +9,61 @@ import (
 )
 
 // Property: on ANY random valid trace, every view estimator agrees
-// bit-for-bit with its slice counterpart. This is the equivalence
-// contract as a property rather than a fixed fixture.
+// bit-for-bit with the reference oracle, on the full view and on a
+// resample view. This is the equivalence contract as a property rather
+// than a fixed fixture.
 func TestViewSliceAgreementProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		tr, np, model := randomValidTrace(seed)
-		v, err := NewTraceView(tr)
+		full, err := NewTraceViewCtx(bg, tr)
 		if err != nil {
 			return false
 		}
-		type pair struct {
-			slice func() (Estimate, error)
-			view  func() (Estimate, error)
-		}
-		pairs := []pair{
-			{func() (Estimate, error) { return DirectMethod(tr, np, model) },
-				func() (Estimate, error) { return DirectMethodView(v, np, model) }},
-			{func() (Estimate, error) { return IPS(tr, np, IPSOptions{}) },
-				func() (Estimate, error) { return IPSView(v, np, IPSOptions{}) }},
-			{func() (Estimate, error) { return IPS(tr, np, IPSOptions{Clip: 2, SelfNormalize: true}) },
-				func() (Estimate, error) { return IPSView(v, np, IPSOptions{Clip: 2, SelfNormalize: true}) }},
-			{func() (Estimate, error) { return DoublyRobust(tr, np, model, DROptions{}) },
-				func() (Estimate, error) { return DoublyRobustView(v, np, model, DROptions{}) }},
-			{func() (Estimate, error) { return SwitchDR(tr, np, model, SwitchOptions{}) },
-				func() (Estimate, error) { return SwitchDRView(v, np, model, SwitchOptions{}) }},
-			{func() (Estimate, error) { return MatchedRewards(tr, np) },
-				func() (Estimate, error) { return MatchedRewardsView(v, np) }},
-		}
-		for _, p := range pairs {
-			want, errS := p.slice()
-			got, errV := p.view()
-			if (errS == nil) != (errV == nil) {
-				return false
+		rv := resampleView(full, testResample(len(tr), seed))
+		for _, c := range []struct {
+			tr Trace[float64, int]
+			v  *TraceView[float64, int]
+		}{{tr, full}, {rv.Materialize(), rv}} {
+			tr, v := c.tr, c.v
+			type pair struct {
+				ref  func() (Estimate, error)
+				view func() (Estimate, error)
 			}
-			if errS != nil {
-				if errS.Error() != errV.Error() {
+			pairs := []pair{
+				{func() (Estimate, error) { return refDM(tr, np, model) },
+					func() (Estimate, error) { return DirectMethodViewCtx(bg, v, np, model) }},
+				{func() (Estimate, error) { return refIPS(tr, np, IPSOptions{}) },
+					func() (Estimate, error) { return IPSViewCtx(bg, v, np, IPSOptions{}) }},
+				{func() (Estimate, error) { return refIPS(tr, np, IPSOptions{Clip: 2, SelfNormalize: true}) },
+					func() (Estimate, error) { return IPSViewCtx(bg, v, np, IPSOptions{Clip: 2, SelfNormalize: true}) }},
+				{func() (Estimate, error) { return refDR(tr, np, model, DROptions{}) },
+					func() (Estimate, error) { return DoublyRobustViewCtx(bg, v, np, model, DROptions{}) }},
+				{func() (Estimate, error) { return refSwitchDR(tr, np, model, SwitchOptions{}) },
+					func() (Estimate, error) { return SwitchDRViewCtx(bg, v, np, model, SwitchOptions{}) }},
+				{func() (Estimate, error) { return refMatched(tr, np) },
+					func() (Estimate, error) { return MatchedRewardsViewCtx(bg, v, np) }},
+			}
+			for _, p := range pairs {
+				want, errS := p.ref()
+				got, errV := p.view()
+				if (errS == nil) != (errV == nil) {
 					return false
 				}
-				continue
+				if errS != nil {
+					if errS.Error() != errV.Error() {
+						return false
+					}
+					continue
+				}
+				if got != want {
+					return false
+				}
 			}
-			if got != want {
+			wantD, errS := refDiagnose(tr, np)
+			gotD, errV := DiagnoseViewCtx(bg, v, np)
+			if (errS == nil) != (errV == nil) || (errS == nil && gotD != wantD) {
 				return false
 			}
-		}
-		wantD, errS := Diagnose(tr, np)
-		gotD, errV := DiagnoseView(v, np)
-		if (errS == nil) != (errV == nil) || (errS == nil && gotD != wantD) {
-			return false
 		}
 		return true
 	}
@@ -64,20 +72,20 @@ func TestViewSliceAgreementProperty(t *testing.T) {
 	}
 }
 
-// Property: DR over the view is affine-equivariant, as the slice DR is
-// (transforming rewards and model by r ↦ a·r + b transforms the
-// estimate identically).
+// Property: DR over the view is affine-equivariant (transforming
+// rewards and model by r ↦ a·r + b transforms the estimate
+// identically).
 func TestViewDRAffineEquivarianceProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		tr, np, model := randomValidTrace(seed)
 		rng := mathx.NewRNG(seed ^ 0x5a5a)
 		a := 0.5 + 2*rng.Float64()
 		b := rng.Normal(0, 3)
-		v, err := NewTraceView(tr)
+		v, err := NewTraceViewCtx(bg, tr)
 		if err != nil {
 			return false
 		}
-		base, err := DoublyRobustView(v, np, model, DROptions{})
+		base, err := DoublyRobustViewCtx(bg, v, np, model, DROptions{})
 		if err != nil {
 			return false
 		}
@@ -86,14 +94,14 @@ func TestViewDRAffineEquivarianceProperty(t *testing.T) {
 		for i := range scaled {
 			scaled[i].Reward = a*scaled[i].Reward + b
 		}
-		sv, err := NewTraceView(scaled)
+		sv, err := NewTraceViewCtx(bg, scaled)
 		if err != nil {
 			return false
 		}
 		scaledModel := RewardFunc[float64, int](func(x float64, d int) float64 {
 			return a*model.Predict(x, d) + b
 		})
-		got, err := DoublyRobustView(sv, np, scaledModel, DROptions{})
+		got, err := DoublyRobustViewCtx(bg, sv, np, scaledModel, DROptions{})
 		if err != nil {
 			return false
 		}
@@ -111,11 +119,11 @@ func TestViewIPSHomogeneityProperty(t *testing.T) {
 		tr, np, _ := randomValidTrace(seed)
 		rng := mathx.NewRNG(seed ^ 0x1717)
 		a := 0.25 + 3*rng.Float64()
-		v, err := NewTraceView(tr)
+		v, err := NewTraceViewCtx(bg, tr)
 		if err != nil {
 			return false
 		}
-		base, err := IPSView(v, np, IPSOptions{})
+		base, err := IPSViewCtx(bg, v, np, IPSOptions{})
 		if err != nil {
 			return false
 		}
@@ -124,11 +132,11 @@ func TestViewIPSHomogeneityProperty(t *testing.T) {
 		for i := range scaled {
 			scaled[i].Reward = a * scaled[i].Reward
 		}
-		sv, err := NewTraceView(scaled)
+		sv, err := NewTraceViewCtx(bg, scaled)
 		if err != nil {
 			return false
 		}
-		got, err := IPSView(sv, np, IPSOptions{})
+		got, err := IPSViewCtx(bg, sv, np, IPSOptions{})
 		if err != nil {
 			return false
 		}
@@ -148,11 +156,11 @@ func TestViewSNIPSScaleInvarianceProperty(t *testing.T) {
 		tr, np, _ := randomValidTrace(seed)
 		rng := mathx.NewRNG(seed ^ 0x2b2b)
 		s := 0.3 + 0.7*rng.Float64() // keep scaled propensities in (0,1]
-		v, err := NewTraceView(tr)
+		v, err := NewTraceViewCtx(bg, tr)
 		if err != nil {
 			return false
 		}
-		base, err := IPSView(v, np, IPSOptions{SelfNormalize: true})
+		base, err := IPSViewCtx(bg, v, np, IPSOptions{SelfNormalize: true})
 		if err != nil {
 			return false
 		}
@@ -161,11 +169,11 @@ func TestViewSNIPSScaleInvarianceProperty(t *testing.T) {
 		for i := range scaled {
 			scaled[i].Propensity = s * scaled[i].Propensity
 		}
-		sv, err := NewTraceView(scaled)
+		sv, err := NewTraceViewCtx(bg, scaled)
 		if err != nil {
 			return false
 		}
-		got, err := IPSView(sv, np, IPSOptions{SelfNormalize: true})
+		got, err := IPSViewCtx(bg, sv, np, IPSOptions{SelfNormalize: true})
 		if err != nil {
 			return false
 		}
@@ -182,15 +190,15 @@ func TestViewSNIPSScaleInvarianceProperty(t *testing.T) {
 func TestViewEstimatesFiniteProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		tr, np, model := randomValidTrace(seed)
-		v, err := NewTraceView(tr)
+		v, err := NewTraceViewCtx(bg, tr)
 		if err != nil {
 			return false
 		}
 		checks := []func() (Estimate, error){
-			func() (Estimate, error) { return DirectMethodView(v, np, model) },
-			func() (Estimate, error) { return IPSView(v, np, IPSOptions{}) },
-			func() (Estimate, error) { return DoublyRobustView(v, np, model, DROptions{}) },
-			func() (Estimate, error) { return SwitchDRView(v, np, model, SwitchOptions{}) },
+			func() (Estimate, error) { return DirectMethodViewCtx(bg, v, np, model) },
+			func() (Estimate, error) { return IPSViewCtx(bg, v, np, IPSOptions{}) },
+			func() (Estimate, error) { return DoublyRobustViewCtx(bg, v, np, model, DROptions{}) },
+			func() (Estimate, error) { return SwitchDRViewCtx(bg, v, np, model, SwitchOptions{}) },
 		}
 		for _, run := range checks {
 			e, err := run()
@@ -204,7 +212,7 @@ func TestViewEstimatesFiniteProperty(t *testing.T) {
 				return false
 			}
 		}
-		if e, err := MatchedRewardsView(v, np); err == nil {
+		if e, err := MatchedRewardsViewCtx(bg, v, np); err == nil {
 			lo, hi := math.Inf(1), math.Inf(-1)
 			for _, rec := range tr {
 				lo = math.Min(lo, rec.Reward)
@@ -227,7 +235,7 @@ func TestViewEstimatesFiniteProperty(t *testing.T) {
 func TestViewMaterializeRoundTripProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		tr, _, _ := randomValidTrace(seed)
-		v, err := NewTraceView(tr)
+		v, err := NewTraceViewCtx(bg, tr)
 		if err != nil {
 			return false
 		}

@@ -6,9 +6,9 @@ import "context"
 // TraceView's context dictionary. Building it costs one
 // Distribution call per UNIQUE context; afterwards the per-record hot
 // loops are pure array arithmetic. All float values are the exact
-// floats the slice path would compute per record (same Distribution
-// results, consumed in the same order), which is what makes the *View
-// estimators bit-identical to their Trace counterparts.
+// floats a per-record evaluation would compute (same Distribution
+// results, consumed in the same order), which is what makes the
+// estimators bit-identical to that evaluation.
 type viewTables[D comparable] struct {
 	// k is the decision-dictionary size (row stride of the U×K tables).
 	k int
@@ -16,11 +16,11 @@ type viewTables[D comparable] struct {
 	// first-match semantics, 0 when the decision is outside the
 	// distribution's support.
 	probFirst []float64
-	// probLast mirrors DiagnoseCtx's accumulation, where the LAST
-	// matching entry wins.
+	// probLast mirrors Diagnose's accumulation, where the LAST matching
+	// entry wins.
 	probLast []float64
 	// argmax[u] is the decision code of the distribution's modal entry
-	// (first maximum wins, as in the slice argmax), or -1 when that
+	// (first maximum wins), or -1 when that
 	// decision never appears in the trace.
 	argmax []int32
 	// distOff/distProb/distCode/distDec flatten each context's
@@ -145,28 +145,26 @@ func (tb *viewTables[D]) release() {
 	putInt32s(tb.stamp)
 }
 
-// firstInvalidFull returns the lowest record index whose context has
-// an invalid distribution, plus that error. Contexts are interned in
-// first-occurrence order, so the first invalid dictionary entry is
-// also the record-order first — exactly the record a sequential
-// per-record validation would have rejected. Call only when
-// anyInvalid.
-func (tb *viewTables[D]) firstInvalidFull(ctxFirst []int32) (int, error) {
-	for u, err := range tb.valErr {
-		if err != nil {
-			return int(ctxFirst[u]), err
-		}
+// firstInvalid returns the first position of v whose context has an
+// invalid distribution under tb's policy, plus that error, or (0, nil)
+// when v avoids every invalid context. Contexts are interned in
+// first-occurrence order, so for a full view the first invalid
+// dictionary entry is also the record-order first — exactly the record
+// a sequential per-record validation would have rejected.
+func firstInvalid[C any, D comparable](v *TraceView[C, D], tb *viewTables[D]) (int, error) {
+	if !tb.anyInvalid {
+		return 0, nil
 	}
-	return 0, nil
-}
-
-// firstInvalidIdx returns the first position j in idx whose record's
-// context has an invalid distribution (the resample-local index the
-// slice path would report), or (0, nil) when the subset avoids every
-// invalid context.
-func (tb *viewTables[D]) firstInvalidIdx(ctxCodes []int32, idx []int) (int, error) {
-	for j, id := range idx {
-		if err := tb.valErr[ctxCodes[id]]; err != nil {
+	if v.rows == nil {
+		for u, err := range tb.valErr {
+			if err != nil {
+				return int(v.ctxFirst[u]), err
+			}
+		}
+		return 0, nil
+	}
+	for j, i := range v.rows {
+		if err := tb.valErr[v.ctxCodes[i]]; err != nil {
 			return j, err
 		}
 	}
@@ -177,7 +175,7 @@ func (tb *viewTables[D]) firstInvalidIdx(ctxCodes []int32, idx []int) (int, erro
 // pred[u*k+kc] is the prediction for each (context, decision) pair and
 // dm[u] is the direct-method value Σ_d µ_new(d|c_u)·r̂(c_u, d),
 // accumulated over the flattened distribution in its original entry
-// order (bit-identical to the slice path's per-record dm loop).
+// order (bit-identical to a per-record dm loop).
 type modelTable struct {
 	pred []float64
 	dm   []float64
@@ -237,12 +235,12 @@ func (mt *modelTable) release() {
 
 // ViewTableModel is the columnar counterpart of TableModel: per-
 // (context, decision) mean rewards stored densely over a view's
-// dictionary codes, with the fit trace's mean reward as the fallback
-// for unseen pairs. FitTableView builds one; the view estimators
-// recognize a model bound to the same view and bypass Predict's map
-// lookups entirely.
+// dictionary codes, with the fit records' mean reward as the fallback
+// for unseen pairs. FitTableView builds one; the estimators recognize a
+// model bound to the same view and bypass Predict's map lookups
+// entirely.
 //
-// It is bit-identical to FitTable with any key function that is
+// It is bit-identical to FitTableCtx with any key function that is
 // injective per (interned context, decision) pair — e.g. drevald's
 // c.Key()+"|"+d — because both accumulate per-cell sums in record
 // order and share the same default.
@@ -279,15 +277,15 @@ func (m *ViewTableModel[C, D]) predictCell(cell int) float64 {
 func (m *ViewTableModel[C, D]) Default() float64 { return m.def }
 
 // FitTableView fits the per-(context, decision) mean-reward model over
-// the view's cells — the columnar FitTable.
+// the view's records — the columnar FitTableCtx.
 func FitTableView[C any, D comparable](v *TraceView[C, D]) *ViewTableModel[C, D] {
 	// Background never cancels, so the error branch is unreachable.
 	m, _ := FitTableViewCtx(context.Background(), v)
 	return m
 }
 
-// FitTableViewCtx is FitTableView with cooperative cancellation,
-// mirroring FitTableCtx: ctx is checked once per chunk of records.
+// FitTableViewCtx is FitTableView with cooperative cancellation: ctx is
+// checked once per chunk of records.
 func FitTableViewCtx[C any, D comparable](ctx context.Context, v *TraceView[C, D]) (*ViewTableModel[C, D], error) {
 	numCtx, k := len(v.contexts), len(v.decisions)
 	m := &ViewTableModel[C, D]{
@@ -296,13 +294,15 @@ func FitTableViewCtx[C any, D comparable](ctx context.Context, v *TraceView[C, D
 		vals:   make([]float64, numCtx*k),
 		counts: make([]int32, numCtx*k),
 	}
+	n := v.Len()
 	total := 0.0
-	for i := range v.rewards {
-		if i%estimatorGrain == 0 {
+	for j := 0; j < n; j++ {
+		if j%estimatorGrain == 0 {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
 		}
+		i := v.row(j)
 		cell := int(v.ctxCodes[i])*k + int(v.decCodes[i])
 		m.vals[cell] += v.rewards[i]
 		m.counts[cell]++
@@ -313,7 +313,7 @@ func FitTableViewCtx[C any, D comparable](ctx context.Context, v *TraceView[C, D
 			m.vals[cell] /= float64(c)
 		}
 	}
-	if n := len(v.rewards); n > 0 {
+	if n > 0 {
 		m.def = total / float64(n)
 	}
 	return m, nil

@@ -1,6 +1,7 @@
 package coupling
 
 import (
+	"context"
 	"testing"
 
 	"drnet/internal/core"
@@ -177,10 +178,13 @@ func TestStateMatchedDRBeatsNaive(t *testing.T) {
 		np := s.NewPolicy()
 		truth := s.GroundTruth(steps, np, s.Phase1Loads())
 		full := Trace(steps)
-		model := core.FitTable(full, func(c, v int) string {
+		model, err := core.FitTableCtx(context.Background(), full, func(c, v int) string {
 			return string(rune('0'+c)) + "/" + string(rune('0'+v))
 		})
-		naive, err := core.DoublyRobust(full, np, model, core.DROptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		naive, err := core.DoublyRobustViewCtx(context.Background(), viewOf(t, full), np, model, core.DROptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -192,10 +196,13 @@ func TestStateMatchedDRBeatsNaive(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mmodel := core.FitTable(matchedTrace, func(c, v int) string {
+		mmodel, err := core.FitTableCtx(context.Background(), matchedTrace, func(c, v int) string {
 			return string(rune('0'+c)) + "/" + string(rune('0'+v))
 		})
-		matched, err := core.DoublyRobust(matchedTrace, np, mmodel, core.DROptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		matched, err := core.DoublyRobustViewCtx(context.Background(), viewOf(t, matchedTrace), np, mmodel, core.DROptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -207,4 +214,14 @@ func TestStateMatchedDRBeatsNaive(t *testing.T) {
 	if mMean >= nMean {
 		t.Fatalf("state matching should reduce error: %g vs %g", mMean, nMean)
 	}
+}
+
+// viewOf builds the columnar view the core estimators read.
+func viewOf[C comparable, D comparable](t *testing.T, tr core.Trace[C, D]) *core.TraceView[C, D] {
+	t.Helper()
+	v, err := core.NewTraceViewCtx(context.Background(), tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
 }

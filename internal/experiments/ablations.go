@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"drnet/internal/abr"
@@ -15,6 +16,7 @@ import (
 // quantities are exposed as benchmarks in bench_test.go; this function
 // gives them the table form used by cmd/experiments.
 func Ablations(runs int, seed int64) (Result, error) {
+	ctx := context.TODO()
 	if runs <= 0 {
 		runs = 30
 	}
@@ -33,31 +35,31 @@ func Ablations(runs int, seed int64) (Result, error) {
 	}
 	variants := []variant{
 		{"DR unclipped", func(v *core.TraceView[abr.Chunk, int], np core.Policy[abr.Chunk, int], m core.RewardModel[abr.Chunk, int]) (float64, error) {
-			e, err := core.DoublyRobustView(v, np, m, core.DROptions{})
+			e, err := core.DoublyRobustViewCtx(ctx, v, np, m, core.DROptions{})
 			return e.Value, err
 		}},
 		{"DR clip 2", func(v *core.TraceView[abr.Chunk, int], np core.Policy[abr.Chunk, int], m core.RewardModel[abr.Chunk, int]) (float64, error) {
-			e, err := core.DoublyRobustView(v, np, m, core.DROptions{Clip: 2})
+			e, err := core.DoublyRobustViewCtx(ctx, v, np, m, core.DROptions{Clip: 2})
 			return e.Value, err
 		}},
 		{"DR clip 8", func(v *core.TraceView[abr.Chunk, int], np core.Policy[abr.Chunk, int], m core.RewardModel[abr.Chunk, int]) (float64, error) {
-			e, err := core.DoublyRobustView(v, np, m, core.DROptions{Clip: 8})
+			e, err := core.DoublyRobustViewCtx(ctx, v, np, m, core.DROptions{Clip: 8})
 			return e.Value, err
 		}},
 		{"DR clip 20", func(v *core.TraceView[abr.Chunk, int], np core.Policy[abr.Chunk, int], m core.RewardModel[abr.Chunk, int]) (float64, error) {
-			e, err := core.DoublyRobustView(v, np, m, core.DROptions{Clip: 20})
+			e, err := core.DoublyRobustViewCtx(ctx, v, np, m, core.DROptions{Clip: 20})
 			return e.Value, err
 		}},
 		{"SNDR clip 8", func(v *core.TraceView[abr.Chunk, int], np core.Policy[abr.Chunk, int], m core.RewardModel[abr.Chunk, int]) (float64, error) {
-			e, err := core.DoublyRobustView(v, np, m, core.DROptions{Clip: 8, SelfNormalize: true})
+			e, err := core.DoublyRobustViewCtx(ctx, v, np, m, core.DROptions{Clip: 8, SelfNormalize: true})
 			return e.Value, err
 		}},
 		{"SWITCH tau 8", func(v *core.TraceView[abr.Chunk, int], np core.Policy[abr.Chunk, int], m core.RewardModel[abr.Chunk, int]) (float64, error) {
-			e, err := core.SwitchDRView(v, np, m, core.SwitchOptions{Tau: 8})
+			e, err := core.SwitchDRViewCtx(ctx, v, np, m, core.SwitchOptions{Tau: 8})
 			return e.Value, err
 		}},
 		{"SWITCH auto", func(v *core.TraceView[abr.Chunk, int], np core.Policy[abr.Chunk, int], m core.RewardModel[abr.Chunk, int]) (float64, error) {
-			e, err := core.SwitchDRView(v, np, m, core.SwitchOptions{})
+			e, err := core.SwitchDRViewCtx(ctx, v, np, m, core.SwitchOptions{})
 			return e.Value, err
 		}},
 	}
@@ -71,7 +73,7 @@ func Ablations(runs int, seed int64) (Result, error) {
 		}
 		np := d.NewPolicy(0)
 		truth := d.GroundTruth(np)
-		view, err := core.NewTraceView(d.Trace)
+		view, err := core.NewTraceViewCtx(ctx, d.Trace)
 		if err != nil {
 			return Result{}, err
 		}
@@ -103,7 +105,7 @@ func Ablations(runs int, seed int64) (Result, error) {
 			}
 			np := w.NewPolicy(0.4, rng)
 			truth := d.GroundTruth(np)
-			v, err := core.NewTraceViewKeyed(d.Trace, clientKey)
+			v, err := core.NewTraceViewKeyedCtx(ctx, d.Trace, clientKey)
 			if err != nil {
 				return Result{}, err
 			}
@@ -111,7 +113,7 @@ func Ablations(runs int, seed int64) (Result, error) {
 			fit := func(tr core.Trace[cfa.Client, cfa.Decision]) (core.RewardModel[cfa.Client, cfa.Decision], error) {
 				return (&cfa.Data{Trace: tr, World: d.World}).PerDecisionKNNModel(kk)
 			}
-			dr, err := core.CrossFitDRView(v, np, fit, 2, core.DROptions{})
+			dr, err := core.CrossFitDRViewCtx(ctx, v, np, fit, 2, core.DROptions{})
 			if err != nil {
 				return Result{}, err
 			}

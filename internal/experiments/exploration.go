@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"math"
 
 	"drnet/internal/core"
@@ -23,6 +24,7 @@ import (
 // live cost of exploration) and the DR evaluation error for the
 // candidate policy on traces logged under that scheme.
 func ExplorationDesign(runs int, seed int64) (Result, error) {
+	ctx := context.TODO()
 	if runs <= 0 {
 		runs = 50
 	}
@@ -90,15 +92,15 @@ func ExplorationDesign(runs int, seed int64) (Result, error) {
 			biased := core.RewardFunc[float64, int](func(x float64, d int) float64 {
 				return trueReward(x, d) + 0.25
 			})
-			v, err := core.NewTraceView(tr)
+			v, err := core.NewTraceViewCtx(ctx, tr)
 			if err != nil {
 				return Result{}, err
 			}
-			dr, err := core.DoublyRobustView(v, candidate, biased, core.DROptions{})
+			dr, err := core.DoublyRobustViewCtx(ctx, v, candidate, biased, core.DROptions{})
 			if err != nil {
 				return Result{}, err
 			}
-			diag, err := core.DiagnoseView(v, candidate)
+			diag, err := core.DiagnoseViewCtx(ctx, v, candidate)
 			if err != nil {
 				return Result{}, err
 			}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -79,15 +80,20 @@ func SecondOrderBias(runs int, seed int64) (Result, error) {
 			for i := range tr {
 				tr[i].Propensity = mathx.Clamp(tr[i].Propensity*(1+c.dp), 0.01, 1)
 			}
-			dm, err := core.DirectMethod(tr, newPolicy, model)
+			ctx := context.TODO()
+			v, err := core.NewTraceViewCtx(ctx, tr)
 			if err != nil {
 				return runOut{}, err
 			}
-			ips, err := core.IPS(tr, newPolicy, core.IPSOptions{})
+			dm, err := core.DirectMethodViewCtx(ctx, v, newPolicy, model)
 			if err != nil {
 				return runOut{}, err
 			}
-			dr, err := core.DoublyRobust(tr, newPolicy, model, core.DROptions{})
+			ips, err := core.IPSViewCtx(ctx, v, newPolicy, core.IPSOptions{})
+			if err != nil {
+				return runOut{}, err
+			}
+			dr, err := core.DoublyRobustViewCtx(ctx, v, newPolicy, model, core.DROptions{})
 			if err != nil {
 				return runOut{}, err
 			}
@@ -141,11 +147,16 @@ func RandomnessSweep(runs int, seed int64) (Result, error) {
 			model := core.RewardFunc[float64, int](func(x float64, d int) float64 {
 				return b.trueReward(x, d) + 0.3
 			})
-			ips, err := core.IPS(tr, newPolicy, core.IPSOptions{})
+			ctx := context.TODO()
+			v, err := core.NewTraceViewCtx(ctx, tr)
 			if err != nil {
 				return runOut{}, err
 			}
-			dr, err := core.DoublyRobust(tr, newPolicy, model, core.DROptions{})
+			ips, err := core.IPSViewCtx(ctx, v, newPolicy, core.IPSOptions{})
+			if err != nil {
+				return runOut{}, err
+			}
+			dr, err := core.DoublyRobustViewCtx(ctx, v, newPolicy, model, core.DROptions{})
 			if err != nil {
 				return runOut{}, err
 			}
@@ -251,7 +262,8 @@ func NonStationaryReplay(runs int, seed int64) (Result, error) {
 
 		model := core.RewardFunc[float64, int](b.trueReward)
 		replayRng := mathx.NewRNG(seed + 104729 + int64(run))
-		rep, err := core.ReplayDR[float64, int](tr, target, model, replayRng)
+		ctx := context.TODO()
+		rep, err := core.ReplayDRCtx[float64, int](ctx, tr, target, model, replayRng)
 		if err != nil {
 			return runOut{}, err
 		}
@@ -259,7 +271,11 @@ func NonStationaryReplay(runs int, seed int64) (Result, error) {
 		frozen := core.FuncPolicy[float64, int](func(x float64) []core.Weighted[int] {
 			return target.DistributionWithHistory(nil, x)
 		})
-		naive, err := core.DoublyRobust(tr, frozen, model, core.DROptions{})
+		v, err := core.NewTraceViewCtx(ctx, tr)
+		if err != nil {
+			return runOut{}, err
+		}
+		naive, err := core.DoublyRobustViewCtx(ctx, v, frozen, model, core.DROptions{})
 		if err != nil {
 			return runOut{}, err
 		}
@@ -318,9 +334,7 @@ func WorldStateCorrection(runs int, seed int64) (Result, error) {
 		tableKey := func(c, v int) string { return worldstate.ServerGroup(c, v) }
 
 		estimate := func(tr core.Trace[int, int]) (float64, error) {
-			model := core.FitTable(tr, tableKey)
-			est, err := core.DoublyRobust(tr, np, model, core.DROptions{})
-			return est.Value, err
+			return tableDR(tr, np, tableKey)
 		}
 		raw, err := estimate(morning.Trace)
 		if err != nil {
@@ -394,9 +408,7 @@ func CouplingCorrection(runs int, seed int64) (Result, error) {
 		key := func(c, v int) string { return fmt.Sprintf("%d/%d", c, v) }
 
 		estimate := func(tr core.Trace[int, int]) (float64, error) {
-			model := core.FitTable(tr, key)
-			est, err := core.DoublyRobust(tr, np, model, core.DROptions{})
-			return est.Value, err
+			return tableDR(tr, np, key)
 		}
 		naive, err := estimate(coupling.Trace(steps))
 		if err != nil {
@@ -494,12 +506,17 @@ func DimensionalitySweep(runs int, seed int64) (Result, error) {
 				}
 				np := w.NewPolicy(0.4, rng)
 				truth := d.GroundTruth(np)
-				diag, err := core.Diagnose(d.Trace, np)
+				ctx := context.TODO()
+				v, err := core.NewTraceViewKeyedCtx(ctx, d.Trace, clientKey)
+				if err != nil {
+					return runOut{}, err
+				}
+				diag, err := core.DiagnoseViewCtx(ctx, v, np)
 				if err != nil {
 					return runOut{}, err
 				}
 				out := runOut{matchRate: diag.MatchRate}
-				matched, err := core.MatchedRewards(d.Trace, np)
+				matched, err := core.MatchedRewardsViewCtx(ctx, v, np)
 				if err != nil {
 					// No matches at all: score the worst case.
 					out.cfa = 1
@@ -509,7 +526,7 @@ func DimensionalitySweep(runs int, seed int64) (Result, error) {
 				fit := func(tr core.Trace[cfa.Client, cfa.Decision]) (core.RewardModel[cfa.Client, cfa.Decision], error) {
 					return (&cfa.Data{Trace: tr, World: d.World}).PerDecisionKNNModel(3)
 				}
-				dr, err := core.CrossFitDR(d.Trace, np, fit, 2, core.DROptions{})
+				dr, err := core.CrossFitDRViewCtx(ctx, v, np, fit, 2, core.DROptions{})
 				if err != nil {
 					return runOut{}, err
 				}
@@ -559,19 +576,24 @@ func RelayBias(runs int, seed int64) (Result, error) {
 		truth := d.GroundTruth(np)
 		via := d.VIAModel()
 		full := d.FullModel()
-		dm, err := core.DirectMethod(d.Trace, np, via)
+		ctx := context.TODO()
+		v, err := core.NewTraceViewCtx(ctx, d.Trace)
 		if err != nil {
 			return runOut{}, err
 		}
-		dr, err := core.DoublyRobust(d.Trace, np, via, core.DROptions{})
+		dm, err := core.DirectMethodViewCtx(ctx, v, np, via)
 		if err != nil {
 			return runOut{}, err
 		}
-		fdm, err := core.DirectMethod(d.Trace, np, full)
+		dr, err := core.DoublyRobustViewCtx(ctx, v, np, via, core.DROptions{})
 		if err != nil {
 			return runOut{}, err
 		}
-		fdr, err := core.DoublyRobust(d.Trace, np, full, core.DROptions{})
+		fdm, err := core.DirectMethodViewCtx(ctx, v, np, full)
+		if err != nil {
+			return runOut{}, err
+		}
+		fdr, err := core.DoublyRobustViewCtx(ctx, v, np, full, core.DROptions{})
 		if err != nil {
 			return runOut{}, err
 		}
@@ -602,4 +624,21 @@ func RelayBias(runs int, seed int64) (Result, error) {
 	}
 	res.Notes = append(res.Notes, "adding the NAT feature fixes the model directly; DR fixes the evaluation even without it")
 	return res, nil
+}
+
+// tableDR is DR with a per-key mean-reward table model fit on the same
+// records, the estimator E4 and E5 apply before and after correcting
+// the trace.
+func tableDR(tr core.Trace[int, int], np core.Policy[int, int], key func(c, v int) string) (float64, error) {
+	ctx := context.TODO()
+	model, err := core.FitTableCtx(ctx, tr, key)
+	if err != nil {
+		return 0, err
+	}
+	v, err := core.NewTraceViewCtx(ctx, tr)
+	if err != nil {
+		return 0, err
+	}
+	est, err := core.DoublyRobustViewCtx(ctx, v, np, model, core.DROptions{})
+	return est.Value, err
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strconv"
 	"strings"
@@ -19,6 +20,7 @@ import (
 // frontend/backend choice. The new policy moves 50% of ISP-1 clients to
 // (FE-1, BE-2). The paper reports DR's error ≈32% below WISE's.
 func Figure7a(runs int, seed int64) (Result, error) {
+	ctx := context.TODO()
 	if runs <= 0 {
 		runs = 50
 	}
@@ -32,7 +34,7 @@ func Figure7a(runs int, seed int64) (Result, error) {
 		}
 		np := w.NewPolicy()
 		truth := d.GroundTruth(np)
-		v, err := core.NewTraceView(d.Trace)
+		v, err := core.NewTraceViewCtx(ctx, d.Trace)
 		if err != nil {
 			return runOut{}, err
 		}
@@ -44,15 +46,15 @@ func Figure7a(runs int, seed int64) (Result, error) {
 		if err != nil {
 			return runOut{}, err
 		}
-		wise, err := core.DirectMethodView(v, np, model)
+		wise, err := core.DirectMethodViewCtx(ctx, v, np, model)
 		if err != nil {
 			return runOut{}, err
 		}
-		ips, err := core.IPSView(v, np, core.IPSOptions{})
+		ips, err := core.IPSViewCtx(ctx, v, np, core.IPSOptions{})
 		if err != nil {
 			return runOut{}, err
 		}
-		dr, err := core.DoublyRobustView(v, np, model, core.DROptions{})
+		dr, err := core.DoublyRobustViewCtx(ctx, v, np, model, core.DROptions{})
 		if err != nil {
 			return runOut{}, err
 		}
@@ -61,7 +63,7 @@ func Figure7a(runs int, seed int64) (Result, error) {
 		if err != nil {
 			return runOut{}, err
 		}
-		full, err := core.DirectMethodView(v, np, fullModel)
+		full, err := core.DirectMethodViewCtx(ctx, v, np, fullModel)
 		if err != nil {
 			return runOut{}, err
 		}
@@ -123,6 +125,7 @@ func Figure7bScenario() *abr.Scenario {
 // sessionsPerRun controls how many independent 100-chunk sessions each
 // run aggregates (the evaluation corpus); 5 is the default.
 func Figure7b(runs, sessionsPerRun int, seed int64) (Result, error) {
+	ctx := context.TODO()
 	if runs <= 0 {
 		runs = 50
 	}
@@ -139,7 +142,7 @@ func Figure7b(runs, sessionsPerRun int, seed int64) (Result, error) {
 		}
 		np := d.NewPolicy(0)
 		truth := d.GroundTruth(np)
-		v, err := core.NewTraceView(d.Trace)
+		v, err := core.NewTraceViewCtx(ctx, d.Trace)
 		if err != nil {
 			return runOut{}, err
 		}
@@ -147,15 +150,15 @@ func Figure7b(runs, sessionsPerRun int, seed int64) (Result, error) {
 			health = traceHealth(v, np)
 		}
 		model := core.RewardFunc[abr.Chunk, int](d.ModelReward)
-		dm, err := core.DirectMethodView(v, np, model)
+		dm, err := core.DirectMethodViewCtx(ctx, v, np, model)
 		if err != nil {
 			return runOut{}, err
 		}
-		ips, err := core.IPSView(v, np, core.IPSOptions{Clip: 8})
+		ips, err := core.IPSViewCtx(ctx, v, np, core.IPSOptions{Clip: 8})
 		if err != nil {
 			return runOut{}, err
 		}
-		dr, err := core.DoublyRobustView(v, np, model, core.DROptions{Clip: 8})
+		dr, err := core.DoublyRobustViewCtx(ctx, v, np, model, core.DROptions{Clip: 8})
 		if err != nil {
 			return runOut{}, err
 		}
@@ -206,6 +209,7 @@ func clientKey(c cfa.Client) string {
 // randomized-logging video-QoE world. The paper reports DR's error ≈36%
 // below CFA's.
 func Figure7c(runs, clients int, seed int64) (Result, error) {
+	ctx := context.TODO()
 	if runs <= 0 {
 		runs = 50
 	}
@@ -225,14 +229,14 @@ func Figure7c(runs, clients int, seed int64) (Result, error) {
 		}
 		np := w.NewPolicy(0.4, rng)
 		truth := d.GroundTruth(np)
-		v, err := core.NewTraceViewKeyed(d.Trace, clientKey)
+		v, err := core.NewTraceViewKeyedCtx(ctx, d.Trace, clientKey)
 		if err != nil {
 			return runOut{}, err
 		}
 		if run == 0 {
 			health = traceHealth(v, np)
 		}
-		matched, err := core.MatchedRewardsView(v, np)
+		matched, err := core.MatchedRewardsViewCtx(ctx, v, np)
 		if err != nil {
 			return runOut{}, err
 		}
@@ -240,14 +244,14 @@ func Figure7c(runs, clients int, seed int64) (Result, error) {
 		if err != nil {
 			return runOut{}, err
 		}
-		dm, err := core.DirectMethodView(v, np, model)
+		dm, err := core.DirectMethodViewCtx(ctx, v, np, model)
 		if err != nil {
 			return runOut{}, err
 		}
 		fit := func(tr core.Trace[cfa.Client, cfa.Decision]) (core.RewardModel[cfa.Client, cfa.Decision], error) {
 			return (&cfa.Data{Trace: tr, World: d.World}).PerDecisionKNNModel(3)
 		}
-		dr, err := core.CrossFitDRView(v, np, fit, 2, core.DROptions{})
+		dr, err := core.CrossFitDRViewCtx(ctx, v, np, fit, 2, core.DROptions{})
 		if err != nil {
 			return runOut{}, err
 		}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"drnet/internal/bandit"
@@ -107,9 +108,14 @@ func OnlineVsOffline(runs int, seed int64) (Result, error) {
 		if err != nil {
 			return Result{}, err
 		}
+		ctx := context.TODO()
+		v, err := core.NewTraceViewKeyedCtx(ctx, evalHalf, clientKey)
+		if err != nil {
+			return Result{}, err
+		}
 		bestIdx, bestVal := 0, -1e300
 		for i, cand := range cands {
-			est, err := core.DoublyRobust(evalHalf, cand.Policy, model, core.DROptions{})
+			est, err := core.DoublyRobustViewCtx(ctx, v, cand.Policy, model, core.DROptions{})
 			if err != nil {
 				return Result{}, err
 			}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"drnet/internal/cfa"
@@ -74,16 +75,21 @@ func PolicySelection(runs int, seed int64) (Result, error) {
 			}
 			return bestIdx
 		}
+		ctx := context.TODO()
+		v, err := core.NewTraceViewKeyedCtx(ctx, evalHalf, clientKey)
+		if err != nil {
+			return Result{}, err
+		}
 		dmPick := pick(func(c core.Candidate[cfa.Client, cfa.Decision]) (float64, bool) {
-			est, err := core.DirectMethod(evalHalf, c.Policy, model)
+			est, err := core.DirectMethodViewCtx(ctx, v, c.Policy, model)
 			return est.Value, err == nil
 		})
 		cfaPick := pick(func(c core.Candidate[cfa.Client, cfa.Decision]) (float64, bool) {
-			est, err := core.MatchedRewards(evalHalf, c.Policy)
+			est, err := core.MatchedRewardsViewCtx(ctx, v, c.Policy)
 			return est.Value, err == nil
 		})
 		drPick := pick(func(c core.Candidate[cfa.Client, cfa.Decision]) (float64, bool) {
-			est, err := core.DoublyRobust(evalHalf, c.Policy, model, core.DROptions{})
+			est, err := core.DoublyRobustViewCtx(ctx, v, c.Policy, model, core.DROptions{})
 			return est.Value, err == nil
 		})
 
@@ -146,8 +152,13 @@ func PropensityEstimation(runs int, seed int64) (Result, error) {
 			return b.trueReward(x, d) + 0.3 // mildly biased
 		})
 
+		ctx := context.TODO()
 		evalDR := func(t core.Trace[float64, int]) (float64, error) {
-			est, err := core.DoublyRobust(t, newPolicy, model, core.DROptions{})
+			v, err := core.NewTraceViewCtx(ctx, t)
+			if err != nil {
+				return 0, err
+			}
+			est, err := core.DoublyRobustViewCtx(ctx, v, newPolicy, model, core.DROptions{})
 			return est.Value, err
 		}
 		exact, err := evalDR(tr)
@@ -156,7 +167,7 @@ func PropensityEstimation(runs int, seed int64) (Result, error) {
 		}
 		// Grouped empirical estimate on a coarse discretization of x.
 		grouped := append(core.Trace[float64, int](nil), tr...)
-		if err := core.EstimatePropensities(grouped, func(x float64) string {
+		if err := core.EstimatePropensitiesCtx(ctx, grouped, func(x float64) string {
 			return fmt.Sprintf("%d", int(x*10))
 		}, 20, 1e-3); err != nil {
 			return Result{}, err
@@ -167,7 +178,7 @@ func PropensityEstimation(runs int, seed int64) (Result, error) {
 		}
 		// Logistic propensity model.
 		logit := append(core.Trace[float64, int](nil), tr...)
-		if _, err := core.FitPropensityModel(logit, func(x float64) []float64 {
+		if _, err := core.FitPropensityModelCtx(ctx, logit, func(x float64) []float64 {
 			return []float64{x}
 		}, 1e-4, 1e-3); err != nil {
 			return Result{}, err

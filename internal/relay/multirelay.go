@@ -164,7 +164,7 @@ func (d *MultiData) GroundTruth(p core.Policy[Call, MultiPath]) float64 {
 // VIAModel is the NAT-blind per-(AS pair, path) mean model, as in the
 // two-path world.
 func (d *MultiData) VIAModel() core.RewardModel[Call, MultiPath] {
-	return core.FitTable(d.Trace, func(c Call, p MultiPath) string {
+	return fitTable(d.Trace, func(c Call, p MultiPath) string {
 		return fmt.Sprintf("%d-%d/%v", c.SrcAS, c.DstAS, p)
 	})
 }

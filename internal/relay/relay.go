@@ -9,6 +9,7 @@
 package relay
 
 import (
+	"context"
 	"errors"
 	"fmt"
 
@@ -227,7 +228,7 @@ func (d *Data) GroundTruth(p core.Policy[Call, Path]) float64 {
 // cells are contaminated by the NAT penalty and the direct cells by its
 // absence.
 func (d *Data) VIAModel() core.RewardModel[Call, Path] {
-	return core.FitTable(d.Trace, func(c Call, p Path) string {
+	return fitTable(d.Trace, func(c Call, p Path) string {
 		return fmt.Sprintf("%d-%d/%v", c.SrcAS, c.DstAS, p)
 	})
 }
@@ -236,9 +237,17 @@ func (d *Data) VIAModel() core.RewardModel[Call, Path] {
 // we need to add in the relevant feature", at the cost of thinner cells
 // (the curse of dimensionality it discusses).
 func (d *Data) FullModel() core.RewardModel[Call, Path] {
-	return core.FitTable(d.Trace, func(c Call, p Path) string {
+	return fitTable(d.Trace, func(c Call, p Path) string {
 		return fmt.Sprintf("%d-%d/%v/nat=%v", c.SrcAS, c.DstAS, p, c.NAT)
 	})
+}
+
+// fitTable fits a per-key mean-reward table over a whole logged trace.
+// The fit runs under a background context, which never cancels, so it
+// cannot fail.
+func fitTable[D comparable](t core.Trace[Call, D], key func(Call, D) string) *core.TableModel[Call, D] {
+	m, _ := core.FitTableCtx(context.Background(), t, key)
+	return m
 }
 
 // String describes the world.

@@ -1,6 +1,7 @@
 package worldstate
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -219,10 +220,11 @@ func TestStateCorrectionReducesError(t *testing.T) {
 		truth := core.TrueValue(morning.Contexts, np, func(c, v int) float64 {
 			return s.TrueReward(c, v, PeakHour)
 		})
-		model := core.FitTable(morning.Trace, func(c, v int) string {
-			return ServerGroup(c, v)
-		})
-		raw, err := core.DoublyRobust(morning.Trace, np, model, core.DROptions{})
+		model, err := core.FitTableCtx(context.Background(), morning.Trace, ServerGroup)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := core.DoublyRobustViewCtx(context.Background(), viewOf(t, morning.Trace), np, model, core.DROptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -237,8 +239,11 @@ func TestStateCorrectionReducesError(t *testing.T) {
 		if skipped > 0 {
 			t.Fatalf("%d records missing transitions", skipped)
 		}
-		cmodel := core.FitTable(corrected, func(c, v int) string { return ServerGroup(c, v) })
-		corr, err := core.DoublyRobust(corrected, np, cmodel, core.DROptions{})
+		cmodel, err := core.FitTableCtx(context.Background(), corrected, ServerGroup)
+		if err != nil {
+			t.Fatal(err)
+		}
+		corr, err := core.DoublyRobustViewCtx(context.Background(), viewOf(t, corrected), np, cmodel, core.DROptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -250,4 +255,14 @@ func TestStateCorrectionReducesError(t *testing.T) {
 	if corrMean >= rawMean {
 		t.Fatalf("state correction should reduce error: %g vs %g", corrMean, rawMean)
 	}
+}
+
+// viewOf builds the columnar view the core estimators read.
+func viewOf[C comparable, D comparable](t *testing.T, tr core.Trace[C, D]) *core.TraceView[C, D] {
+	t.Helper()
+	v, err := core.NewTraceViewCtx(context.Background(), tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
 }
