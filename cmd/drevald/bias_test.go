@@ -2,22 +2,19 @@ package main
 
 import (
 	"encoding/json"
-	"flag"
 	"io"
 	"net/http"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"drnet/internal/biasobs"
+	"drnet/internal/golden"
 	"drnet/internal/mathx"
 	"drnet/internal/obs"
 	"drnet/internal/resilience"
 	"drnet/internal/traceio"
 )
-
-var updateGolden = flag.Bool("update", false, "rewrite golden files")
 
 // driftTraceJSON builds a trace whose reward steps from 0.2 to 0.9 at
 // the midpoint while every overlap diagnostic stays perfect (single
@@ -288,20 +285,5 @@ func TestOpenMetricsGoldenBiasFamily(t *testing.T) {
 	if err := r.WriteOpenMetrics(&b); err != nil {
 		t.Fatal(err)
 	}
-	goldenPath := filepath.Join("testdata", "bias_openmetrics.golden")
-	if *updateGolden {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(goldenPath, []byte(b.String()), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(goldenPath)
-	if err != nil {
-		t.Fatalf("%v (regenerate with -args -update)", err)
-	}
-	if b.String() != string(want) {
-		t.Fatalf("OpenMetrics exposition drifted from golden.\ngot:\n%s\nwant:\n%s", b.String(), want)
-	}
+	golden.Check(t, filepath.Join("testdata", "bias_openmetrics.golden"), []byte(b.String()))
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"syscall"
@@ -130,6 +131,56 @@ func TestChaosRequestTimeout(t *testing.T) {
 	if !out.Timeout || out.Error == "" {
 		t.Fatalf("body %+v, want timeout:true with a message", out)
 	}
+}
+
+// TestChaosPropensityEstimationCtxEnd: a request whose compute context
+// ends while options.estimatePropensities runs (the first phase that
+// reads the context) answers 503 with the machine-readable flag, like
+// every later phase, not 400: an expired -request-timeout gives
+// timeout:true and a request the client already abandoned gives
+// canceled:true.
+func TestChaosPropensityEstimationCtxEnd(t *testing.T) {
+	t.Parallel()
+	body := evalRequest{
+		Trace:   testTraceJSON(t, true),
+		Policy:  "constant:a",
+		Options: evalOptions{EstimatePropensities: true},
+	}
+	check := func(name string, status int, raw []byte, wantTimeout bool) {
+		t.Helper()
+		if status != http.StatusServiceUnavailable {
+			t.Fatalf("%s: status %d, want 503 (%s)", name, status, raw)
+		}
+		var out evalErrorJSON
+		if err := json.Unmarshal(raw, &out); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if out.Error == "" || out.Timeout != wantTimeout || out.Canceled == wantTimeout {
+			t.Fatalf("%s: body %+v, want timeout:%v canceled:%v", name, out, wantTimeout, !wantTimeout)
+		}
+	}
+
+	_, srv := newTestServer(t, func(c *Config) { c.RequestTimeout = time.Nanosecond })
+	resp := post(t, srv, "/evaluate", body)
+	var buf bytes.Buffer
+	_, err := buf.ReadFrom(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("deadline", resp.StatusCode, buf.Bytes(), true)
+
+	s, _ := newTestServer(t, nil)
+	raw, err := json.Marshal(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	req := httptest.NewRequest(http.MethodPost, "/evaluate", bytes.NewReader(raw)).WithContext(ctx)
+	rec := httptest.NewRecorder()
+	s.handleEvaluate(rec, req)
+	check("canceled", rec.Code, rec.Body.Bytes(), false)
 }
 
 // TestChaosLoadShedding: with a 1-slot, 0-queue limiter, a second

@@ -1,12 +1,12 @@
 package main
 
 import (
-	"bytes"
 	"encoding/json"
 	"net/http"
-	"os"
 	"path/filepath"
 	"testing"
+
+	"drnet/internal/golden"
 )
 
 // TestGoldenResponseBodies pins the exact bytes of drevald's compute
@@ -50,22 +50,7 @@ func TestGoldenResponseBodies(t *testing.T) {
 		if status != c.status {
 			t.Fatalf("%s: status %d, want %d (%s)", c.name, status, c.status, got)
 		}
-		path := filepath.Join("testdata", "golden", c.name+".json")
-		if *updateGolden {
-			if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(path, got, 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
-		want, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatalf("%v (regenerate with -args -update)", err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Errorf("%s: body drifted from %s\ngot:  %s\nwant: %s", c.name, path, got, want)
-		}
+		golden.Check(t, filepath.Join("testdata", "golden", c.name+".json"), got)
 		if !json.Valid(got) {
 			t.Errorf("%s: body is not JSON: %s", c.name, got)
 		}
